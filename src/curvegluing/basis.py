@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .errors import NonGlobalOrder, NonLocalOrder
 from .polyalg import (Mono, MonomialOrder, Polynomial, leading_term,
-                      m_coprime, m_deg, m_div, m_divides, m_lcm, monic, spoly)
+                      m_coprime, m_deg, m_div, m_divides, m_lcm,
+                      minimal_indices, monic, spoly)
 
 
 @dataclass(frozen=True)
@@ -224,38 +225,14 @@ def _minimalize_basis(basis, lms, order) -> BasisResult:
 
     Among elements with the same LM, the earliest generated is kept.
     """
-    keep: list[int] = []
-    for idx in range(len(basis)):
-        m = lms[idx]
-        redundant = False
-        for jdx in range(len(basis)):
-            if jdx == idx:
-                continue
-            other = lms[jdx]
-            if other == m:
-                if jdx < idx:
-                    redundant = True
-                    break
-            elif m_divides(other, m):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(idx)
-    elems = tuple(monic(basis[i], order) for i in keep)
+    elems = tuple(monic(basis[i], order) for i in minimal_indices(lms))
     return BasisResult(elems, order, minimal=True)
 
 
 def leading_ideal(result: BasisResult) -> list[Mono]:
     """Minimal monomial generating set of the leading ideal of the basis."""
     lms = result.leading_monomials()
-    out = []
-    for i, m in enumerate(lms):
-        redundant = any(
-            (lms[j] != m and m_divides(lms[j], m)) or (lms[j] == m and j < i)
-            for j in range(len(lms)))
-        if not redundant:
-            out.append(m)
-    return sorted(out)
+    return sorted(lms[i] for i in minimal_indices(lms))
 
 
 def interreduce_global(basis: list[Polynomial],

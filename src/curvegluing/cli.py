@@ -55,13 +55,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("semigroup", help="minimal generators and invariants")
-    p.add_argument("generators", nargs="+", help="generators (space or comma separated)")
+    p.add_argument("generators", nargs="+", type=_parse_gens,
+                   help="generators (space or comma separated)")
     _common_flags(p)
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser("ideal", help="defining ideal of a monomial curve, "
                                      "or a basis of raw polynomials")
-    p.add_argument("generators", nargs="*", help="curve generators")
+    p.add_argument("generators", nargs="*", type=_parse_gens,
+                   help="curve generators")
     p.add_argument("--raw", help="semicolon-separated polynomials instead of a curve")
     p.add_argument("--vars", help="comma-separated variable names for --raw")
     p.add_argument("--local", action="store_true",
@@ -71,13 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("tangent-cone", help="Cohen-Macaulay decision for the tangent cone")
-    p.add_argument("generators", nargs="+")
+    p.add_argument("generators", nargs="+", type=_parse_gens)
     p.add_argument("--order", help="variable priority override, highest first")
     _common_flags(p)
     p.set_defaults(func=cmd_tangent_cone)
 
     p = sub.add_parser("hilbert", help="Hilbert function of the curve's local ring")
-    p.add_argument("generators", nargs="+")
+    p.add_argument("generators", nargs="+", type=_parse_gens)
     p.add_argument("--limit", type=int, default=None, help="Hilbert function prefix length")
     _common_flags(p)
     p.set_defaults(func=cmd_hilbert)
@@ -111,17 +113,29 @@ def _common_flags(p):
 
 
 def _gluing_flags(p):
-    p.add_argument("--s1", required=True, help="first semigroup generators, comma separated")
-    p.add_argument("--s2", required=True, help="second semigroup generators")
+    p.add_argument("--s1", required=True, type=_parse_gens,
+                   help="first semigroup generators, comma separated")
+    p.add_argument("--s2", required=True, type=_parse_gens,
+                   help="second semigroup generators")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--q", required=True, type=int)
 
 
-def _parse_gens(tokens) -> list[int]:
-    flat = []
-    for tok in tokens:
-        flat.extend(t for t in tok.replace(",", " ").split() if t)
-    return [int(t) for t in flat]
+def _parse_gens(token: str) -> list[int]:
+    """One generators argument: integers separated by commas or spaces.
+
+    Used as an argparse ``type``, so a non-integer ends in ``parser.error``
+    (exit 2) before any command runs.
+    """
+    try:
+        return [int(t) for t in token.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"generators must be integers, got {token!r}") from None
+
+
+def _flat(token_lists) -> list[int]:
+    return [n for gens in token_lists for n in gens]
 
 
 def _parse_priority(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
@@ -136,7 +150,7 @@ def _parse_priority(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 
 def cmd_semigroup(args) -> dict:
-    S = sg.minimal_generators(_parse_gens(args.generators))
+    S = sg.minimal_generators(_flat(args.generators))
     frob, apery = S.frobenius_and_apery()
     return {
         "generators": list(S.generators),
@@ -153,7 +167,7 @@ def cmd_ideal(args) -> dict:
         return _raw_basis(args)
     if not args.generators:
         raise DomainError("pass curve generators or --raw")
-    C = make_curve(_parse_gens(args.generators))
+    C = make_curve(_flat(args.generators))
     gens = defining_ideal(C)
     return {
         "curve": list(C.generators),
@@ -186,7 +200,7 @@ def _raw_basis(args) -> dict:
 
 
 def cmd_tangent_cone(args) -> dict:
-    C = make_curve(_parse_gens(args.generators))
+    C = make_curve(_flat(args.generators))
     priority = _parse_priority(args.order, C.names) if args.order else None
     rep = tangent_cone(C, priority=priority)
     return _tangent_cone_payload(C, rep)
@@ -215,7 +229,7 @@ def _mono_str(m, names) -> str:
 
 
 def cmd_hilbert(args) -> dict:
-    C = make_curve(_parse_gens(args.generators))
+    C = make_curve(_flat(args.generators))
     data = local_hilbert_function(C, args.limit)
     h = list(data.reduced_numerator)
     closed = " + ".join(_coeff_term(c, i) for i, c in enumerate(h) if c) or "0"
@@ -240,8 +254,7 @@ def _coeff_term(c, i) -> str:
 def cmd_glue(args) -> dict:
     from .polyalg import monic
 
-    spec = gl.validate_gluing(_parse_gens([args.s1]), _parse_gens([args.s2]),
-                              args.p, args.q)
+    spec = gl.validate_gluing(args.s1, args.s2, args.p, args.q)
     C = gl.glued_curve(spec)
     display = degrevlex(C.nvars)
     gens = [monic(g, display) for g in gl.glued_ideal(spec)]
@@ -260,8 +273,7 @@ def cmd_glue(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    spec = gl.validate_gluing(_parse_gens([args.s1]), _parse_gens([args.s2]),
-                              args.p, args.q)
+    spec = gl.validate_gluing(args.s1, args.s2, args.p, args.q)
     report = gl.verify_instance(spec,
                                 cross_check_ideal=not args.no_cross_check,
                                 hf_prefix_len=args.limit)

@@ -24,6 +24,10 @@ class GcdNotOne(DomainError):
     code = "GcdNotOne"
 
 
+class NonPositiveGenerator(DomainError):
+    code = "NonPositiveGenerator"
+
+
 # ------------------------------------------------------------------ polyalg
 
 class ArityMismatch(DomainError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
-from .polyalg import Mono, m_deg, m_divides
+from .polyalg import Mono, m_deg, minimal_indices
 from .tangentcone import TangentConeReport, tangent_cone
 from .toric import MonomialCurve
 
@@ -81,12 +81,8 @@ def hilbert_numerator(lms: list[Mono], nvars: int,
 
 
 def _minimalize_monomials(lms) -> list[Mono]:
-    lms = sorted(set(map(tuple, lms)), key=lambda m: (m_deg(m), m))
-    out = []
-    for m in lms:
-        if not any(m_divides(p, m) for p in out):
-            out.append(m)
-    return out
+    lms = [tuple(m) for m in lms]
+    return [lms[i] for i in minimal_indices(lms)]
 
 
 def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str) -> IntPoly:

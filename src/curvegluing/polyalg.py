@@ -55,6 +55,20 @@ def m_one(nvars: int) -> Mono:
     return (0,) * nvars
 
 
+def minimal_indices(monos) -> list[int]:
+    """Indices, in input order, of the minimal generators of <monos>.
+
+    A divisor has smaller degree than its proper multiples, so a scan by
+    (degree, index) meets every divisor before its multiples; of equal
+    monomials the earliest is kept.
+    """
+    kept: list[int] = []
+    for i in sorted(range(len(monos)), key=lambda i: (m_deg(monos[i]), i)):
+        if not any(m_divides(monos[k], monos[i]) for k in kept):
+            kept.append(i)
+    return sorted(kept)
+
+
 # --------------------------------------------------------------------------
 # monomial orders
 # --------------------------------------------------------------------------

@@ -1,18 +1,22 @@
 """Numerical semigroup arithmetic.
 
-A semigroup is stored by its minimal generating set.  Membership and the
-Apéry/Frobenius data come from a plain DP sieve; the sieve also drives the
-order-filtration Hilbert oracle, which is deliberately independent of all
-polynomial machinery.
+A semigroup is stored by its minimal generating set and read through its
+Apéry set Ap(S, m) with respect to the multiplicity m: n is a member exactly
+when n >= Ap[n mod m], the Frobenius number is max Ap - m, and symmetry is a
+property of Ap alone.  One cached table per generator tuple holds Ap(S, m)
+and the back-pointers that rebuild a representation.  Membership from that
+table also drives the order-filtration Hilbert oracle, which is deliberately
+independent of all polynomial machinery.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import EmptyGenerators, GcdNotOne
+from .errors import EmptyGenerators, GcdNotOne, NonPositiveGenerator
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class NumericalSemigroup:
         if not gens:
             raise EmptyGenerators("no generators")
         if any(g <= 0 for g in gens):
-            raise ValueError("generators must be positive")
+            raise NonPositiveGenerator(f"{list(gens)} has a generator <= 0")
         if list(gens) != sorted(set(gens)):
             raise ValueError("generators must be strictly increasing")
         g = 0
@@ -71,15 +75,17 @@ class NumericalSemigroup:
         """A representation of n if n is a member, else None."""
         if n < 0:
             raise ValueError("membership is defined for n >= 0")
-        member, parent = _member_table(self.generators, n)
-        if not member[n]:
+        gens, m = self.generators, self.multiplicity
+        apery, last = _apery_table(gens)
+        w = apery[n % m]
+        if n < w:
             return None
-        coeffs = [0] * len(self.generators)
-        s = n
-        while s:
-            i = parent[s]
+        coeffs = [0] * len(gens)
+        coeffs[0] = (n - w) // m
+        while w:
+            i = last[w % m]
             coeffs[i] += 1
-            s -= self.generators[i]
+            w -= gens[i]
         return Representation(tuple(coeffs), n)
 
     def all_representations(self, n: int) -> list[Representation]:
@@ -104,7 +110,8 @@ class NumericalSemigroup:
 
     def frobenius_and_apery(self) -> tuple[int, tuple[int, ...]]:
         """Frobenius number and the Apéry set w.r.t. the smallest generator."""
-        return _frobenius_apery(self.generators)
+        apery, _ = _apery_table(self.generators)
+        return max(apery) - self.multiplicity, apery
 
     @property
     def frobenius(self) -> int:
@@ -115,18 +122,20 @@ class NumericalSemigroup:
         return self.frobenius_and_apery()[1]
 
     def is_symmetric(self) -> bool:
-        """Kunz: for every 0 <= z <= F exactly one of z, F-z is a member."""
-        f = self.frobenius
-        if f < 0:
-            return True
-        member, _ = _member_table(self.generators, f)
-        return all(member[z] != member[f - z] for z in range(f + 1))
+        """Kunz symmetry, read off the Apéry set.
+
+        S is symmetric exactly when Ap(S, m) is closed under w -> max Ap - w
+        (Rosales & García-Sánchez, *Numerical Semigroups*, 2009, ch. 4).
+        """
+        apery = self.apery
+        top = max(apery)
+        return {top - w for w in apery} == set(apery)
 
     def order_filtration_hilbert(self, n_max: int) -> list[int]:
         """H(0..n_max) where H(n) counts members of maximal order exactly n.
 
         The order of a member is the largest coefficient sum over all of its
-        representations; dynamic programming over the sieve computes it.
+        representations; dynamic programming over the members computes it.
         Members above F + (n_max+1)*max(generators) necessarily have order
         > n_max, so the enumeration bound is safe.
         """
@@ -135,7 +144,9 @@ class NumericalSemigroup:
         gens = self.generators
         frob = self.frobenius
         bound = max(frob, 0) + (n_max + 1) * gens[-1]
-        member, _ = _member_table(gens, bound)
+        apery, _ = _apery_table(gens)
+        m = gens[0]
+        member = [s >= apery[s % m] for s in range(bound + 1)]
         order = [-1] * (bound + 1)
         order[0] = 0
         counts = [0] * (n_max + 1)
@@ -159,7 +170,7 @@ def minimal_generators(raw: list[int] | tuple[int, ...]) -> NumericalSemigroup:
     if not raw:
         raise EmptyGenerators("no generators")
     if any(g <= 0 for g in raw):
-        raise ValueError("generators must be positive")
+        raise NonPositiveGenerator(f"{list(raw)} has a generator <= 0")
     g = 0
     for n in raw:
         g = gcd(g, n)
@@ -169,68 +180,38 @@ def minimal_generators(raw: list[int] | tuple[int, ...]) -> NumericalSemigroup:
 
 
 def _minimalize(gens: tuple[int, ...]) -> tuple[int, ...]:
-    """Drop generators representable by smaller kept ones."""
-    kept: list[int] = []
-    for g in sorted(set(gens)):
-        if not kept:
-            kept.append(g)
-            continue
-        member = _sieve(tuple(kept), g)
-        if not member[g]:
-            kept.append(g)
-    return tuple(kept)
+    """Keep g unless g - h is a member for some smaller generator h.
 
-
-def _sieve(gens: tuple[int, ...], bound: int) -> list[bool]:
-    member = [False] * (bound + 1)
-    member[0] = True
-    for s in range(1, bound + 1):
-        for g in gens:
-            if s >= g and member[s - g]:
-                member[s] = True
-                break
-    return member
-
-
-@lru_cache(maxsize=None)
-def _member_table(gens: tuple[int, ...], bound: int):
-    """Membership sieve with generator back-pointers up to bound."""
-    member = [False] * (bound + 1)
-    parent = [-1] * (bound + 1)
-    member[0] = True
-    for s in range(1, bound + 1):
-        for i, g in enumerate(gens):
-            if s >= g and member[s - g]:
-                member[s] = True
-                parent[s] = i
-                break
-    return member, parent
-
-
-@lru_cache(maxsize=None)
-def _frobenius_apery(gens: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    ``gens`` is strictly increasing with gcd 1, so it has an Apéry table.
+    """
     m = gens[0]
-    if m == 1:
-        return -1, (0,)
-    # grow the sieve until m consecutive members appear: from there on every
-    # integer is a member (add multiples of m), so F is the gap just before
-    member = [True]
-    run = 1
-    s = 0
-    while run < m:
-        s += 1
-        member.append(any(s >= g and member[s - g] for g in gens))
-        run = run + 1 if member[s] else 0
-    frob = s - m
-    # every Apéry element is at most F + m = s, and the sieve reaches s
-    apery = [-1] * m
-    apery[0] = 0
-    found = 1
-    for t in range(1, s + 1):
-        r = t % m
-        if member[t] and apery[r] == -1:
-            apery[r] = t
-            found += 1
-            if found == m:
-                break
-    return frob, tuple(apery)
+    apery, _ = _apery_table(gens)
+    return tuple(g for g in gens
+                 if not any(g - h >= apery[(g - h) % m] for h in gens if h < g))
+
+
+@lru_cache(maxsize=1024)
+def _apery_table(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Ap(S, m) for m = gens[0], and per residue the last generator used.
+
+    Dijkstra over the residues mod m: the edge r -> r + g (mod m) costs g, so
+    the distance to r is the least member congruent to r (Nijenhuis 1979).
+    ``last[r]`` indexes the generator on the final edge of a shortest path,
+    so ``apery[r] - gens[last[r]]`` is again an Apéry element.
+    """
+    m = gens[0]
+    apery = [0] + [None] * (m - 1)
+    last = [-1] * m
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if w > apery[r]:
+            continue  # stale entry
+        for i, g in enumerate(gens):
+            t = w + g
+            s = t % m
+            if apery[s] is None or t < apery[s]:
+                apery[s] = t
+                last[s] = i
+                heapq.heappush(heap, (t, s))
+    return tuple(apery), tuple(last)

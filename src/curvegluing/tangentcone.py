@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import BasisResult, leading_ideal, standard_basis
+from .basis import BasisResult, standard_basis
 from .errors import InvalidPriority
 from .polyalg import (Mono, MonomialOrder, Polynomial, least_degree_form,
                       negdegrevlex)
@@ -76,8 +76,3 @@ def cone_generators(C: MonomialCurve,
                     priority: tuple[int, ...] | None = None) -> list[Polynomial]:
     """Least-degree forms of a minimal standard basis; they generate the cone ideal."""
     return list(tangent_cone(C, priority).cone_generators)
-
-
-def minimal_cone_lms(report: TangentConeReport) -> list[Mono]:
-    """Minimal generating set of the leading ideal of the cone."""
-    return leading_ideal(report.basis)

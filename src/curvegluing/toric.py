@@ -112,21 +112,14 @@ def _check_graded(g: Polynomial, C: MonomialCurve):
 def minimal_generator_count(gens: list[Polynomial], nvars: int) -> int:
     """Size of a minimal generating set among the given generators.
 
-    Iteratively removes any generator contained in the ideal of the others.
-    For the graded ideals handled here the count is presentation-independent.
+    Precondition: every generator is homogeneous for one positive grading,
+    as the semigroup grading makes every kernel and glued generator.  By
+    graded Nakayama every irredundant generating set then has the same size,
+    so the one greedy pass of ``_prune_redundant`` gives the count: each
+    element it keeps was tested against a superset of the final rest.
     """
-    order = degrevlex(nvars)
-    kept = [g for g in gens if not g.is_zero()]
-    changed = True
-    while changed and len(kept) > 1:
-        changed = False
-        for i in range(len(kept)):
-            rest = kept[:i] + kept[i + 1:]
-            if is_member_global(kept[i], rest, order):
-                kept.pop(i)
-                changed = True
-                break
-    return len(kept)
+    return len(_prune_redundant([g for g in gens if not g.is_zero()],
+                                degrevlex(nvars)))
 
 
 def is_complete_intersection(C: MonomialCurve) -> bool:

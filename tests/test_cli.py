@@ -35,6 +35,17 @@ class TestSemigroupCommand:
             main(["semigroup"])
         assert exc.value.code == 2
 
+    def test_non_positive_generator_exit_code(self, capsys):
+        code, _, err = run_cli(capsys, "semigroup", "0,3")
+        assert code == 1
+        assert "NonPositiveGenerator" in err
+
+    def test_non_integer_generator_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["semigroup", "abc"])
+        assert exc.value.code == 2
+        assert "'abc'" in capsys.readouterr().err
+
 
 class TestIdealCommand:
     def test_curve_ideal(self, capsys):

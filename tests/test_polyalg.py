@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from curvegluing.errors import ArityMismatch, ZeroPolynomial
 from curvegluing.polyalg import (Polynomial, degrevlex, ecart, elimination,
                                  leading_monomial, leading_term,
-                                 least_degree_form, m_deg, m_mul,
-                                 negdegrevlex, parse_polynomial,
-                                 polynomial_to_str, spoly)
+                                 least_degree_form, m_deg, m_divides, m_mul,
+                                 minimal_indices, negdegrevlex,
+                                 parse_polynomial, polynomial_to_str, spoly)
 
 NAMES4 = ("x1", "x2", "y1", "y2")
 ORDER22 = negdegrevlex(4, priority=(1, 3, 2, 0))  # x2 > y2 > y1 > x1
@@ -216,6 +216,26 @@ class TestTextualSyntax:
         for c, m in rows:
             f = f + Polynomial.term(c, m)
         assert P(polynomial_to_str(f, NAMES4)) == f
+
+
+class TestMinimalIndices:
+    def test_input_order_preserved(self):
+        monos = [M("x1*x2^2"), M("y1^3"), M("x2"), M("x1^2")]
+        assert minimal_indices(monos) == [1, 2, 3]
+
+    def test_earliest_equal_monomial_kept(self):
+        monos = [M("x1^2"), M("y2"), M("x1^2"), M("y2")]
+        assert minimal_indices(monos) == [0, 1]
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            monos = [tuple(rng.randint(0, 3) for _ in range(4))
+                     for _ in range(rng.randint(0, 12))]
+            brute = [i for i, m in enumerate(monos)
+                     if not any(m_divides(p, m) and (p != m or j < i)
+                                for j, p in enumerate(monos) if j != i)]
+            assert minimal_indices(monos) == brute
 
 
 def _random_poly(rng, nvars=4):

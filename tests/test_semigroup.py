@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from curvegluing.errors import EmptyGenerators, GcdNotOne
+from curvegluing.errors import EmptyGenerators, GcdNotOne, NonPositiveGenerator
 from curvegluing.semigroup import (NumericalSemigroup, Representation,
                                    minimal_generators)
 
@@ -40,6 +40,12 @@ class TestMinimalGenerators:
         with pytest.raises(ValueError):
             NumericalSemigroup((2, 3, 4))
 
+    def test_non_positive(self):
+        with pytest.raises(NonPositiveGenerator):
+            minimal_generators([0, 3])
+        with pytest.raises(NonPositiveGenerator):
+            NumericalSemigroup((-1, 3))
+
 
 class TestMembership:
     def test_17_in_5_12(self):
@@ -65,6 +71,19 @@ class TestMembership:
             if rep is not None:
                 assert sum(c * g for c, g in
                            zip(rep.coefficients, S.generators)) == n == rep.value
+
+    def test_membership_against_sieve(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            S = minimal_generators(_random_gens(rng))
+            bound = max(S.frobenius, 0) + 2 * S.generators[-1]
+            member = _sieve(S.generators, bound)
+            for n in range(bound + 1):
+                rep = S.contains(n)
+                assert (rep is not None) == member[n]
+                if rep is not None:
+                    assert sum(c * g for c, g in
+                               zip(rep.coefficients, S.generators)) == n
 
 
 class TestAllRepresentations:
@@ -126,6 +145,19 @@ class TestFrobeniusApery:
     def test_unary(self):
         assert minimal_generators([1]).frobenius == -1
 
+    def test_random_against_sieve(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            S = minimal_generators(_random_gens(rng))
+            m = S.multiplicity
+            frob, apery = S.frobenius_and_apery()
+            bound = max(frob, 0) + 2 * m
+            member = _sieve(S.generators, bound)
+            assert frob == max([t for t in range(bound + 1) if not member[t]],
+                               default=-1)
+            for r, w in enumerate(apery):
+                assert w == next(t for t in range(r, bound + 1, m) if member[t])
+
 
 class TestSymmetry:
     def test_2_3(self):
@@ -143,6 +175,18 @@ class TestSymmetry:
             for b in range(a + 1, 31):
                 if gcd(a, b) == 1:
                     assert minimal_generators([a, b]).is_symmetric()
+
+    def test_random_against_kunz(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(80):
+            S = minimal_generators(_random_gens(rng))
+            f = S.frobenius
+            member = _sieve(S.generators, max(f, 0))
+            kunz = all(member[z] != member[f - z] for z in range(f + 1))
+            assert S.is_symmetric() == kunz
+            seen.add(kunz)
+        assert seen == {True, False}
 
 
 class TestOrderFiltration:
@@ -190,6 +234,11 @@ def test_minimal_generators_invariants(raw):
         if others:
             member = _sieve(others, x)
             assert not member[x]
+
+
+def _random_gens(rng):
+    gens = [rng.randint(2, 40) for _ in range(rng.randint(2, 5))]
+    return gens + [gens[0] + 1]  # force gcd 1
 
 
 def _sieve(gens, bound):

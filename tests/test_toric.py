@@ -3,7 +3,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from curvegluing.basis import buchberger
+from family_samples import random_nice_gluing
+
+from curvegluing.basis import buchberger, is_member_global
+from curvegluing.gluing import glued_ideal
 from curvegluing.polyalg import degrevlex, m_divides, parse_polynomial
 from curvegluing.toric import (MonomialCurve, curve, defining_ideal,
                                ideals_equal, is_complete_intersection,
@@ -95,6 +98,19 @@ class TestMinimalGeneratorCount:
         g = f * parse_polynomial("x1 + x2", C.names)
         assert minimal_generator_count([f, g], 2) == 1
 
+    def test_matches_fixed_point_loop_on_glued_ideals(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            spec = random_nice_gluing(rng, dim1=rng.randint(2, 3), dim2=2)
+            gens = glued_ideal(spec)
+            nvars = len(spec.glued_generators)
+            # homogeneous multiples give the pruner redundant members to drop
+            x1 = (1,) + (0,) * (nvars - 1)
+            padded = [gens[0] * gens[-1]] + gens + [gens[1].mul_term(2, x1)]
+            for trial in (gens, padded):
+                assert minimal_generator_count(trial, nvars) == \
+                    _fixed_point_count(trial, nvars)
+
 
 class TestMonomialCurve:
     def test_block_naming_preserved(self):
@@ -117,3 +133,18 @@ def _monomials_of_degree(d, n):
         for v in combo:
             mono[v] += 1
         yield tuple(mono)
+
+
+def _fixed_point_count(gens, nvars):
+    """Reference: drop any generator in the ideal of the others, until none is."""
+    order = degrevlex(nvars)
+    kept = [g for g in gens if not g.is_zero()]
+    changed = True
+    while changed and len(kept) > 1:
+        changed = False
+        for i in range(len(kept)):
+            if is_member_global(kept[i], kept[:i] + kept[i + 1:], order):
+                kept.pop(i)
+                changed = True
+                break
+    return len(kept)
