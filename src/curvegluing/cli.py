@@ -15,7 +15,8 @@ import sys
 from . import gluing as gl
 from . import semigroup as sg
 from .basis import buchberger, standard_basis
-from .errors import DomainError, SelfCheckFailed, TheoremViolation
+from .errors import (DomainError, MalformedConfig, SelfCheckFailed,
+                     TheoremViolation)
 from .hilbert import local_hilbert_function
 from .polyalg import (degrevlex, infer_variable_names, negdegrevlex,
                       parse_polynomial, polynomial_to_str)
@@ -34,6 +35,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, SelfCheckFailed, TheoremViolation) as exc:
         code = getattr(exc, "code", type(exc).__name__)
         print(f"error [{code}]: {exc}", file=sys.stderr)
+        if getattr(exc, "bundle", None):
+            print(f"reproduce: {json.dumps(exc.bundle, sort_keys=True)}",
+                  file=sys.stderr)
         return 1
     lines = payload.pop("_lines", None)
     if args.json:
@@ -93,15 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _gluing_flags(p)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--no-cross-check", action="store_true",
-                   help="skip the elimination cross-check of the glued ideal")
+                   help="skip the Hilbert-series certificate of the glued ideal")
     _common_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="verify a one-parameter family from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--config", required=True, type=_readable_file)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--cross-check", action="store_true",
-                   help="run the elimination cross-check on every instance")
+                   help="certify the glued ideal of every instance by its "
+                        "Hilbert series")
     _common_flags(p)
     p.set_defaults(func=cmd_scan)
 
@@ -132,6 +137,29 @@ def _parse_gens(token: str) -> list[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"generators must be integers, got {token!r}") from None
+
+
+def _positive_int(token: str) -> int:
+    """An argparse ``type`` for counts such as ``--jobs``: at least 1."""
+    try:
+        n = int(token)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {token!r}")
+    return n
+
+
+def _readable_file(path: str) -> str:
+    """An argparse ``type``: a path that opens for reading, else exit 2."""
+    try:
+        with open(path):
+            pass
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read {path!r}: {exc.strerror}") from None
+    return path
 
 
 def _flat(token_lists) -> list[int]:
@@ -282,7 +310,10 @@ def cmd_verify(args) -> dict:
 
 def cmd_scan(args) -> dict:
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise MalformedConfig(f"{args.config}: {exc}") from None
     template = gl.FamilyTemplate.from_config(cfg)
     records = gl.scan_family(template, jobs=args.jobs,
                              cross_check_ideal=args.cross_check)

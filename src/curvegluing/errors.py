@@ -38,6 +38,10 @@ class ZeroPolynomial(DomainError):
     code = "ZeroPolynomial"
 
 
+class MalformedPolynomial(DomainError):
+    code = "MalformedPolynomial"
+
+
 # -------------------------------------------------------------------- basis
 
 class NonGlobalOrder(DomainError):
@@ -86,17 +90,37 @@ class GeneratorCollision(GluingError):
     code = "GeneratorCollision"
 
 
-class SelfCheckFailed(RuntimeError):
+# --------------------------------------------------------------- scan config
+
+class MalformedConfig(DomainError):
+    code = "MalformedConfig"
+
+
+class EmptyRange(MalformedConfig):
+    code = "EmptyRange"
+
+
+# ------------------------------------------------------------------ failures
+
+class _Reproducible(RuntimeError):
+    """A failure carrying a reproduction bundle so it can be replayed.
+
+    The bundle lives in the instance ``__dict__``, which pickling keeps, so
+    it survives the trip back from a process-pool worker.
+    """
+
+    def __init__(self, message="", bundle=None):
+        super().__init__(message)
+        self.bundle = bundle or {}
+
+
+class SelfCheckFailed(_Reproducible):
     """An internal cross-validation failed; always a bug, never user error."""
 
 
-class TheoremViolation(RuntimeError):
+class TheoremViolation(_Reproducible):
     """A verified instance falsified a theorem it should satisfy.
 
     Either an implementation defect or a publishable observation; the
     reproduction bundle is attached so the instance can be replayed.
     """
-
-    def __init__(self, message, bundle=None):
-        super().__init__(message)
-        self.bundle = bundle or {}

@@ -16,14 +16,14 @@ from math import gcd
 
 from . import semigroup as sg
 from .basis import standard_basis
-from .errors import (GcdViolation, GeneratorCollision, NotInSemigroup,
-                     PIsMinimalGenerator, QIsMinimalGenerator, SelfCheckFailed,
-                     TheoremViolation)
-from .hilbert import (HilbertData, local_hilbert_function,
-                      product_factorization_check)
+from .errors import (EmptyRange, GcdViolation, GeneratorCollision, GluingError,
+                     MalformedConfig, NotInSemigroup, PIsMinimalGenerator,
+                     QIsMinimalGenerator, SelfCheckFailed, TheoremViolation)
+from .hilbert import (HilbertData, certifies_defining_ideal,
+                      local_hilbert_function, product_factorization_check)
 from .polyalg import Polynomial, negdegrevlex
 from .tangentcone import TangentConeReport, tangent_cone
-from .toric import (MonomialCurve, defining_ideal, ideals_equal,
+from .toric import (MonomialCurve, check_kernel_element, defining_ideal,
                     minimal_generator_count)
 
 
@@ -213,6 +213,12 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
     uses the canonical by-value order, and, for nice gluings, a second basis
     in the joint index order feeds the leading-ideal decomposition and the
     Hilbert-series factorization checks.
+
+    With ``cross_check_ideal`` the glued generator set is proved to be the
+    defining ideal of the glued curve without another Groebner computation:
+    every generator is checked to be a graded kernel element, and the
+    weighted Hilbert series of the glued cone's leading ideal must equal
+    the semigroup ring's (:func:`hilbert.certifies_defining_ideal`).
     """
     c1 = component_curve(spec, 1)
     c2 = component_curve(spec, 2)
@@ -227,13 +233,16 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
 
     glued = glued_curve(spec)
     rosales = glued_ideal(spec, g1, g2)
+    grep = tangent_cone(glued, ideal_gens=rosales)
     cross = None
     if cross_check_ideal:
-        cross = ideals_equal(rosales, defining_ideal(glued), glued.nvars)
+        for g in rosales:
+            check_kernel_element(g, glued)
+        cross = certifies_defining_ideal(grep.lm_set, glued)
         if not cross:
             raise SelfCheckFailed(
-                "glued generator set and eliminated defining ideal disagree")
-    grep = tangent_cone(glued, ideal_gens=rosales)
+                "glued generator set fails the Hilbert-series certificate "
+                "of the defining ideal")
     ghd = local_hilbert_function(glued, hf_prefix_len, report=grep)
     _self_check_cm_multiplicity(grep, ghd)
 
@@ -378,25 +387,53 @@ class FamilyTemplate:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "FamilyTemplate":
+        """Template from a parsed config; a bad one names its clause.
+
+        Raises :class:`MalformedConfig` for a missing key or a value of the
+        wrong shape, and :class:`EmptyRange` when the range holds no member.
+        """
+        if not isinstance(cfg, dict):
+            raise MalformedConfig("config must be a JSON object")
+        missing = [k for k in ("s1", "s2", "parameter", "p", "q", "range")
+                   if k not in cfg]
+        if missing:
+            raise MalformedConfig(f"missing key(s) {missing}")
         param = cfg["parameter"]
-        lo, hi = cfg["range"]
-        return cls(
-            s1=tuple(cfg["s1"]),
-            s2=tuple(cfg["s2"]),
-            parameter=param,
-            p_expr=parse_linear(str(cfg["p"]), param),
-            q_expr=parse_linear(str(cfg["q"]), param),
-            start=int(lo),
-            stop=int(hi),
-            output=cfg.get("output"),
-        )
+        if not isinstance(param, str):
+            raise MalformedConfig(f"parameter must be a name, got {param!r}")
+        s1, s2, bounds = (_int_list(cfg, key) for key in ("s1", "s2", "range"))
+        if len(bounds) != 2:
+            raise MalformedConfig(f"range must be [start, stop], got {bounds}")
+        lo, hi = bounds
+        if lo > hi:
+            raise EmptyRange(f"range [{lo}, {hi}] holds no {param}")
+        output = cfg.get("output")
+        if output is not None and not isinstance(output, str):
+            raise MalformedConfig(f"output must be a path, got {output!r}")
+        try:
+            p_expr, q_expr = (parse_linear(str(cfg[key]), param)
+                              for key in ("p", "q"))
+        except ValueError as exc:
+            raise MalformedConfig(str(exc)) from None
+        return cls(s1=s1, s2=s2, parameter=param, p_expr=p_expr,
+                   q_expr=q_expr, start=lo, stop=hi, output=output)
+
+
+def _int_list(cfg: dict, key: str) -> tuple[int, ...]:
+    value = cfg[key]
+    if not isinstance(value, (list, tuple)) or \
+            not all(isinstance(n, int) and not isinstance(n, bool) for n in value):
+        raise MalformedConfig(f"{key} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def scan_instance(template: FamilyTemplate, value: int,
                   cross_check_ideal: bool = False) -> dict:
-    """Run one family member; invalid parameters give a skip record."""
-    from .errors import GluingError
+    """Run one family member; invalid parameters give a skip record.
 
+    A :class:`SelfCheckFailed` leaves with the parameter value, p and q
+    added to its bundle.
+    """
     record: dict = {template.parameter: value,
                     "p": template.p_expr(value), "q": template.q_expr(value)}
     try:
@@ -405,7 +442,11 @@ def scan_instance(template: FamilyTemplate, value: int,
     except GluingError as exc:
         record.update(skipped=True, reason=exc.code, detail=str(exc))
         return record
-    report = verify_instance(spec, cross_check_ideal=cross_check_ideal)
+    try:
+        report = verify_instance(spec, cross_check_ideal=cross_check_ideal)
+    except SelfCheckFailed as exc:
+        exc.bundle = {**record, **exc.bundle}
+        raise
     record.update(skipped=False, **report_to_record(report))
     return record
 

@@ -1,9 +1,12 @@
 """Hilbert series of monomial quotients and Hilbert functions of curve local rings.
 
-The numerator N(t) of K[x_1..x_n]/<monomials> over (1-t)^n comes from the
-pivot recursion N(I) = N(I + <p>) + t^deg(p) * N(I : p); dividing out
+The numerator N(t) of K[x_1..x_n]/<monomials> over prod (1-t^{w_i}), with
+deg x_i = w_i (all ones by default), comes from the pivot recursion
+N(I) = N(I + <p>) + t^deg(p) * N(I : p) (Bigatti 1997); dividing out
 (1-t)^(k-1) exactly leaves the reduced numerator h(t) of a one-dimensional
-quotient, whose partial sums are the Hilbert function.
+quotient, whose partial sums are the Hilbert function.  With the semigroup
+weights the same numerator certifies a presentation of a curve's semigroup
+ring (:func:`certifies_defining_ideal`).
 """
 
 from __future__ import annotations
@@ -46,9 +49,18 @@ def poly_eval_one(a: IntPoly) -> int:
 
 
 def _trim(a: IntPoly) -> IntPoly:
+    a = list(a)
     while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return list(a)
+        a.pop()
+    return a
+
+
+def _times_one_minus_power(a: IntPoly, d: int) -> IntPoly:
+    """a(t) * (1 - t^d) by one shift-and-subtract pass."""
+    out = list(a) + [0] * d
+    for i, c in enumerate(a):
+        out[i + d] -= c
+    return _trim(out)
 
 
 def divide_by_one_minus_t(a: IntPoly) -> IntPoly:
@@ -68,16 +80,21 @@ def divide_by_one_minus_t(a: IntPoly) -> IntPoly:
 # --------------------------------------------------------------------------
 
 def hilbert_numerator(lms: list[Mono], nvars: int,
-                      pivot_rule: str = "frequent") -> IntPoly:
-    """N(t) with Hilb(K[x]/<lms>) = N(t)/(1-t)^nvars, lms minimal.
+                      pivot_rule: str = "frequent",
+                      weights: tuple[int, ...] | None = None) -> IntPoly:
+    """N(t) with Hilb(K[x]/<lms>) = N(t)/prod(1-t^{w_i}).
 
+    ``weights`` gives the positive degree w_i of x_i, all ones by default
+    (the standard grading, where the denominator is (1-t)^nvars).
     ``pivot_rule`` picks the splitting monomial: "frequent" uses the most
     frequent variable at its lowest positive power, "first" the first
     variable occurring in two generators.  The result is pivot-independent;
     tests exercise both.
     """
+    if weights is None:
+        weights = (1,) * nvars
     lms = _minimalize_monomials(lms)
-    return _numerator(tuple(lms), nvars, pivot_rule)
+    return _numerator(tuple(lms), nvars, pivot_rule, tuple(weights))
 
 
 def _minimalize_monomials(lms) -> list[Mono]:
@@ -85,7 +102,8 @@ def _minimalize_monomials(lms) -> list[Mono]:
     return [lms[i] for i in minimal_indices(lms)]
 
 
-def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str) -> IntPoly:
+def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str,
+               weights: tuple[int, ...]) -> IntPoly:
     if not lms:
         return [1]
     if any(m_deg(m) == 0 for m in lms):
@@ -93,7 +111,7 @@ def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str) -> IntPoly:
     if len(lms) == 1 or _pairwise_coprime(lms):
         out = [1]
         for m in lms:
-            out = poly_mul(out, _one_minus_power(m_deg(m)))
+            out = _times_one_minus_power(out, _weighted_deg(m, weights))
         return out
     var, power = _pick_pivot(lms, nvars, pivot_rule)
 
@@ -106,9 +124,15 @@ def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str) -> IntPoly:
         e = list(m)
         e[var] = max(0, e[var] - power)
         colon.append(tuple(e))
-    n_plus = _numerator(tuple(_minimalize_monomials(plus)), nvars, pivot_rule)
-    n_colon = _numerator(tuple(_minimalize_monomials(colon)), nvars, pivot_rule)
-    return poly_add(n_plus, poly_shift(n_colon, power))
+    n_plus = _numerator(tuple(_minimalize_monomials(plus)), nvars, pivot_rule,
+                        weights)
+    n_colon = _numerator(tuple(_minimalize_monomials(colon)), nvars,
+                         pivot_rule, weights)
+    return poly_add(n_plus, poly_shift(n_colon, power * weights[var]))
+
+
+def _weighted_deg(m: Mono, weights: tuple[int, ...]) -> int:
+    return sum(e * w for e, w in zip(m, weights))
 
 
 def _pairwise_coprime(lms) -> bool:
@@ -133,13 +157,6 @@ def _pick_pivot(lms, nvars, pivot_rule) -> tuple[int, int]:
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     power = min(m[var] for m in lms if m[var])
     return var, power
-
-
-def _one_minus_power(d: int) -> IntPoly:
-    out = [0] * (d + 1)
-    out[0] = 1
-    out[d] = -1
-    return out
 
 
 def _var_power(var: int, power: int, nvars: int) -> Mono:
@@ -199,6 +216,38 @@ def local_hilbert_function(C: MonomialCurve, prefix_len: int | None = None,
     if report is None:
         report = tangent_cone(C)
     return hilbert_from_lms(list(report.lm_set), C.nvars, prefix_len)
+
+
+def certifies_defining_ideal(lms: list[Mono], C: MonomialCurve) -> bool:
+    """Is the ideal whose leading monomials are ``lms`` the kernel of C?
+
+    Precondition: ``lms`` generate the leading ideal, under some monomial
+    order, local or global, of an ideal I generated by elements of the
+    kernel P of x_i -> t^{n_i}, each homogeneous for the semigroup grading
+    deg x_i = n_i (``toric.check_kernel_element`` tests both).  Then:
+
+    1. I is contained in P, and K[x]/P is the semigroup ring K[S], whose
+       Hilbert series is sum_{s in S} t^s = A(t)/(1-t^m), where m is the
+       multiplicity and A(t) = sum_{w in Ap(S,m)} t^w.
+    2. I is homogeneous for positive weights, so the leading monomial of any
+       element of I (or of its localization, which changes it by a unit) is
+       that of one of its homogeneous components, again in I.  Elimination
+       in each graded piece gives K[x]/in(I) the weighted Hilbert function
+       of K[x]/I, whatever the order: its series is N_w(t)/prod(1-t^{n_i}).
+    3. K[x]/I maps onto K[x]/P degree by degree, so I = P exactly when the
+       series agree: N_w(t) (1-t^m) == A(t) prod(1-t^{n_i}).
+
+    No Groebner computation is needed beyond the one that produced ``lms``.
+    """
+    apery = C.semigroup.apery
+    a_series = [0] * (max(apery) + 1)
+    for w in apery:
+        a_series[w] = 1  # one Apéry element per residue, all distinct
+    rhs = a_series
+    for n in C.generators:
+        rhs = _times_one_minus_power(rhs, n)
+    num = hilbert_numerator(list(lms), C.nvars, weights=C.generators)
+    return _times_one_minus_power(num, min(C.generators)) == rhs
 
 
 def nondecreasing_verdict(h: IntPoly) -> tuple[bool, int | None]:

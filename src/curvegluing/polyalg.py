@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ArityMismatch, ZeroPolynomial
+from .errors import ArityMismatch, MalformedPolynomial, ZeroPolynomial
 
 Mono = tuple  # exponent vector, one non-negative int per variable slot
 
@@ -330,7 +330,7 @@ def parse_polynomial(text: str, names: list[str] | tuple[str, ...]) -> Polynomia
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
+                raise MalformedPolynomial(f"cannot tokenize {text[pos:]!r}")
             break
         pos = m.end()
         if m.group("var"):
@@ -339,7 +339,7 @@ def parse_polynomial(text: str, names: list[str] | tuple[str, ...]) -> Polynomia
             while name and name not in slot:
                 cut = _split_known_prefix(name, slot)
                 if cut is None:
-                    raise ValueError(f"unknown variable {name!r}")
+                    raise MalformedPolynomial(f"unknown variable {name!r}")
                 tokens.append(("var", cut))
                 name = name[len(cut):]
             if name:
@@ -374,6 +374,8 @@ def parse_polynomial(text: str, names: list[str] | tuple[str, ...]) -> Polynomia
             c = Fraction(val)
             if i + 2 < len(tokens) and tokens[i + 1] == ("op", "/") \
                     and tokens[i + 2][0] == "int":
+                if tokens[i + 2][1] == 0:
+                    raise MalformedPolynomial(f"zero denominator in {val}/0")
                 c = Fraction(val, tokens[i + 2][1])
                 i += 2
             cur_coeff = c if cur_coeff is None else cur_coeff * c
@@ -383,7 +385,7 @@ def parse_polynomial(text: str, names: list[str] | tuple[str, ...]) -> Polynomia
             if i + 2 < len(tokens) and tokens[i + 1] == ("op", "^"):
                 nk, nv = tokens[i + 2]
                 if nk != "int":
-                    raise ValueError("exponent must be an integer")
+                    raise MalformedPolynomial("exponent must be an integer")
                 power = nv
                 i += 2
             e = [0] * nvars if cur_mono is None else list(cur_mono)
@@ -393,7 +395,7 @@ def parse_polynomial(text: str, names: list[str] | tuple[str, ...]) -> Polynomia
         elif kind == "op" and val == "*":
             i += 1
         else:
-            raise ValueError(f"unexpected token {val!r}")
+            raise MalformedPolynomial(f"unexpected token {val!r}")
     flush()
     return result
 

@@ -83,7 +83,7 @@ def defining_ideal(C: MonomialCurve) -> list[Polynomial]:
     eliminated = interreduce_global(eliminated, xorder)
     pruned = _prune_redundant(eliminated, xorder)
     for g in pruned:
-        _check_graded(g, C)
+        check_kernel_element(g, C)
     return [monic(g, xorder) for g in pruned]
 
 
@@ -100,13 +100,21 @@ def _prune_redundant(gens: list[Polynomial], order: MonomialOrder) -> list[Polyn
     return kept
 
 
-def _check_graded(g: Polynomial, C: MonomialCurve):
-    """Every monomial of a kernel element carries the same semigroup value."""
+def check_kernel_element(g: Polynomial, C: MonomialCurve):
+    """g is homogeneous for the semigroup grading and vanishes on the curve.
+
+    Every monomial must carry the same semigroup value, and the coefficients
+    must cancel, so that x_i -> t^{n_i} sends g to zero.
+    """
     values = {sum(e * n for e, n in zip(m, C.generators)) for m in g.terms}
     if len(values) > 1:
         raise SelfCheckFailed(
             f"kernel element not homogeneous for the semigroup grading: "
             f"values {sorted(values)}")
+    if sum(g.terms.values()) != 0:
+        raise SelfCheckFailed(
+            f"graded element of value {values.pop()} does not vanish on the "
+            f"curve: coefficients sum to {sum(g.terms.values())}")
 
 
 def minimal_generator_count(gens: list[Polynomial], nvars: int) -> int:

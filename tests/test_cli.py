@@ -190,6 +190,68 @@ class TestScanCommand:
         assert payload["all_theorems_hold"] is True
 
 
+class TestExitCodes:
+    """Malformed input exits 1 with its clause named; usage errors exit 2."""
+
+    CFG = {"s1": [2, 3], "s2": [4, 5], "parameter": "r",
+           "p": "4*r + 3", "q": "8", "range": [1, 3]}
+
+    def _scan(self, capsys, tmp_path, cfg, *extra):
+        path = tmp_path / "family.json"
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        return run_cli(capsys, "scan", "--config", str(path), *extra)
+
+    @pytest.mark.parametrize("raw", ["(x1+x2)^2", "x1^y", "3/0*x1", "x1 $ x2"])
+    def test_malformed_polynomial(self, capsys, raw):
+        code, _, err = run_cli(capsys, "ideal", "--raw", raw)
+        assert code == 1
+        assert "MalformedPolynomial" in err
+
+    def test_missing_config_key(self, capsys, tmp_path):
+        cfg = {k: v for k, v in self.CFG.items() if k != "range"}
+        code, _, err = self._scan(capsys, tmp_path, cfg)
+        assert code == 1
+        assert "MalformedConfig" in err and "range" in err
+
+    def test_config_not_json(self, capsys, tmp_path):
+        code, _, err = self._scan(capsys, tmp_path, '{"s1": [2, 3],')
+        assert code == 1
+        assert "MalformedConfig" in err
+
+    def test_reversed_range(self, capsys, tmp_path):
+        code, _, err = self._scan(capsys, tmp_path,
+                                  {**self.CFG, "range": [5, 1]})
+        assert code == 1
+        assert "EmptyRange" in err
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--config", str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        assert "missing.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_must_be_positive(self, capsys, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            self._scan(capsys, tmp_path, self.CFG, f"--jobs={jobs}")
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_self_check_failure_prints_bundle(self, capsys, tmp_path,
+                                              monkeypatch):
+        import curvegluing.gluing as gl
+        from curvegluing.errors import SelfCheckFailed
+
+        def broken(spec, cross_check_ideal=True, hf_prefix_len=None):
+            raise SelfCheckFailed("planted")
+
+        monkeypatch.setattr(gl, "verify_instance", broken)
+        code, _, err = self._scan(capsys, tmp_path, self.CFG)
+        assert code == 1
+        assert "SelfCheckFailed" in err
+        assert 'reproduce: {"p": 7, "q": 8, "r": 1}' in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "curvegluing", "semigroup", "2", "3"],

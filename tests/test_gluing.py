@@ -1,17 +1,23 @@
 import json
+import multiprocessing
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
-from curvegluing.errors import (GcdViolation, GeneratorCollision,
-                                NotInSemigroup, PIsMinimalGenerator,
-                                QIsMinimalGenerator, TheoremViolation)
+from curvegluing.errors import (EmptyRange, GcdViolation, GeneratorCollision,
+                                GluingError, MalformedConfig, NotInSemigroup,
+                                PIsMinimalGenerator, QIsMinimalGenerator,
+                                SelfCheckFailed, TheoremViolation)
 from curvegluing.gluing import (FamilyTemplate, glued_curve, glued_ideal,
                                 parse_linear, report_to_record, scan_family,
                                 scan_instance, validate_gluing,
                                 verify_instance)
+from curvegluing.hilbert import certifies_defining_ideal
 from curvegluing.polyalg import parse_polynomial
-from curvegluing.toric import defining_ideal, ideals_equal
+from curvegluing.tangentcone import tangent_cone
+from curvegluing.toric import check_kernel_element, defining_ideal, ideals_equal
 
 from family_samples import random_nice_gluing
 
@@ -193,6 +199,134 @@ class TestCornerShapes:
             assert report.theorem2_confirmed
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def certified(spec, gens=None) -> bool:
+    C = glued_curve(spec)
+    gens = glued_ideal(spec) if gens is None else gens
+    return certifies_defining_ideal(tangent_cone(C, ideal_gens=gens).lm_set, C)
+
+
+def shipped_config_specs(max_members):
+    """The first valid members of each shipped config (elimination is cheap)."""
+    specs = []
+    for name in ("family_q.json", "family_r.json"):
+        tpl = FamilyTemplate.from_config(json.loads((CONFIGS / name).read_text()))
+        for v in range(tpl.start, tpl.start + max_members[name]):
+            try:
+                specs.append(validate_gluing(list(tpl.s1), list(tpl.s2),
+                                             tpl.p_expr(v), tpl.q_expr(v)))
+            except GluingError:
+                pass
+    return specs
+
+
+def small_nice_gluings(seed, dims, count):
+    """Seeded nice gluings whose glued generators sum to at most 300.
+
+    Elimination cost grows quickly with the generators; this bound keeps
+    the oracle side of the comparison well under a second per instance.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        spec = random_nice_gluing(rng, *dims, max_gen=7)
+        if sum(spec.glued_generators) <= 300:
+            out.append(spec)
+    return out
+
+
+class TestHilbertCertificate:
+    """The certificate against elimination, the independent oracle."""
+
+    def test_agrees_with_elimination_on_shipped_configs(self):
+        specs = shipped_config_specs({"family_q.json": 5, "family_r.json": 10})
+        assert len(specs) == 15
+        for spec in specs:
+            C = glued_curve(spec)
+            assert ideals_equal(glued_ideal(spec), defining_ideal(C), C.nvars)
+            assert certified(spec)
+
+    def test_agrees_with_elimination_on_nice_gluings(self):
+        for dims in ((2, 2), (3, 2), (2, 3)):
+            for spec in small_nice_gluings(307, dims, 3):
+                C = glued_curve(spec)
+                assert ideals_equal(glued_ideal(spec), defining_ideal(C),
+                                    C.nvars)
+                assert certified(spec)
+
+    def test_rejects_squared_bridge(self):
+        specs = [validate_gluing([5, 12], [7, 8], 17, 21)] + \
+            small_nice_gluings(311, (3, 2), 3)
+        for spec in specs:
+            gens = glued_ideal(spec)
+            bridge = gens[-1]
+            assert not certified(spec, gens[:-1] + [bridge * bridge])
+
+    def test_rejects_dropped_component_generator(self):
+        specs = [validate_gluing([5, 12], [7, 8], 17, 21)] + \
+            small_nice_gluings(313, (2, 3), 3)
+        for spec in specs:
+            gens = glued_ideal(spec)
+            assert not certified(spec, gens[1:])
+
+    def test_non_graded_generator_rejected(self):
+        spec = validate_gluing([2, 3], [4, 5], 7, 8)
+        C = glued_curve(spec)
+        with pytest.raises(SelfCheckFailed, match="homogeneous"):
+            check_kernel_element(parse_polynomial("x1^2 - y1", C.names), C)
+        # graded but not in the kernel: 2*x1^3 and x2^2 both have value 48
+        with pytest.raises(SelfCheckFailed, match="vanish"):
+            check_kernel_element(parse_polynomial("2*x1^3 - x2^2", C.names), C)
+        check_kernel_element(parse_polynomial("x1^3 - x2^2", C.names), C)
+
+    def test_verify_rejects_non_graded_generator(self, monkeypatch):
+        import curvegluing.gluing as gl
+
+        real = gl.glued_ideal
+
+        def tampered(spec, g1=None, g2=None):
+            gens = real(spec, g1, g2)
+            C = glued_curve(spec)
+            return gens + [parse_polynomial("x1 - y1", C.names)]
+
+        monkeypatch.setattr(gl, "glued_ideal", tampered)
+        spec = validate_gluing([2, 3], [4, 5], 7, 8)
+        with pytest.raises(SelfCheckFailed):
+            verify_instance(spec, cross_check_ideal=True)
+
+    def test_verify_rejects_uncertified_ideal(self, monkeypatch):
+        import curvegluing.gluing as gl
+
+        real = gl.glued_ideal
+        monkeypatch.setattr(gl, "glued_ideal",
+                            lambda spec, g1=None, g2=None:
+                            real(spec, g1, g2)[1:])
+        spec = validate_gluing([2, 3], [4, 5], 7, 8)
+        with pytest.raises(SelfCheckFailed, match="certificate"):
+            verify_instance(spec, cross_check_ideal=True)
+
+    def test_no_elimination_of_the_glued_curve(self, monkeypatch):
+        import curvegluing.gluing as gl
+        import curvegluing.tangentcone as tc
+        import curvegluing.toric as toric
+
+        eliminated = []
+        real = toric.defining_ideal
+
+        def spy(C):
+            eliminated.append(C.generators)
+            return real(C)
+
+        for module in (gl, tc, toric):
+            monkeypatch.setattr(module, "defining_ideal", spy)
+        spec = validate_gluing([5, 12], [7, 8], 17, 21)
+        report = verify_instance(spec, cross_check_ideal=True)
+        assert report.ideal_cross_check is True
+        assert sorted(eliminated) == [(5, 12), (7, 8)]
+
+
 class TestTheoremSuites:
     def test_nice_gluings_of_plane_curves_stay_cm(self):
         rng = random.Random(101)
@@ -229,6 +363,35 @@ class TestLinearExpr:
     def test_rejects_unknown_symbol(self):
         with pytest.raises(ValueError):
             parse_linear("4*s + 3", "r")
+
+
+class TestFamilyConfig:
+    BASE = {"s1": [2, 3], "s2": [4, 5], "parameter": "r",
+            "p": "4*r + 3", "q": "8", "range": [1, 3]}
+
+    def test_valid_config(self):
+        tpl = FamilyTemplate.from_config(self.BASE)
+        assert (tpl.start, tpl.stop, tpl.s1) == (1, 3, (2, 3))
+
+    def test_missing_key_named(self):
+        cfg = {k: v for k, v in self.BASE.items() if k != "range"}
+        with pytest.raises(MalformedConfig, match="range"):
+            FamilyTemplate.from_config(cfg)
+
+    def test_reversed_range_rejected(self):
+        with pytest.raises(EmptyRange):
+            FamilyTemplate.from_config({**self.BASE, "range": [5, 1]})
+
+    @pytest.mark.parametrize("key,value", [
+        ("range", [1]), ("range", "1..3"), ("s1", [2, "3"]),
+        ("parameter", 3), ("p", "4*s + 3"), ("output", 7)])
+    def test_malformed_values(self, key, value):
+        with pytest.raises(MalformedConfig):
+            FamilyTemplate.from_config({**self.BASE, key: value})
+
+    def test_not_an_object(self):
+        with pytest.raises(MalformedConfig):
+            FamilyTemplate.from_config([1, 2])
 
 
 class TestScan:
@@ -275,6 +438,38 @@ class TestScan:
         with pytest.raises(TheoremViolation) as exc:
             gl.scan_family(self.TPL32)
         assert exc.value.bundle["q"] == 3
+
+    def test_self_check_failure_carries_bundle(self, monkeypatch):
+        import curvegluing.gluing as gl
+
+        def broken(spec, cross_check_ideal=True, hf_prefix_len=None):
+            raise SelfCheckFailed("planted", {"stage": "test"})
+
+        monkeypatch.setattr(gl, "verify_instance", broken)
+        with pytest.raises(SelfCheckFailed) as exc:
+            scan_instance(self.TPL32, 4)
+        assert exc.value.bundle == {"q": 4, "p": 31, "stage": "test"}
+
+    def test_bundle_survives_pickling(self):
+        exc = pickle.loads(pickle.dumps(SelfCheckFailed("m", {"q": 4})))
+        assert (str(exc), exc.bundle) == ("m", {"q": 4})
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched module only when forked")
+    def test_self_check_bundle_survives_process_pool(self, monkeypatch):
+        import curvegluing.gluing as gl
+
+        real = gl.verify_instance
+
+        def broken(spec, cross_check_ideal=True, hf_prefix_len=None):
+            if spec.q == 5:
+                raise SelfCheckFailed("planted")
+            return real(spec, cross_check_ideal, hf_prefix_len)
+
+        monkeypatch.setattr(gl, "verify_instance", broken)
+        with pytest.raises(SelfCheckFailed) as exc:
+            scan_family(self.TPL32, jobs=2)
+        assert exc.value.bundle == {"q": 5, "p": 37}
 
     def test_record_round_trips_through_json(self):
         spec = validate_gluing([2, 3], [4, 5], 7, 8)

@@ -4,13 +4,15 @@ from itertools import combinations_with_replacement
 import pytest
 
 from curvegluing.errors import DimensionMismatch
-from curvegluing.hilbert import (HilbertData, divide_by_one_minus_t,
-                                 hilbert_from_lms, hilbert_numerator,
-                                 local_hilbert_function, nondecreasing_verdict,
-                                 poly_mul, product_factorization_check)
-from curvegluing.polyalg import m_divides
+from curvegluing.hilbert import (HilbertData, certifies_defining_ideal,
+                                 divide_by_one_minus_t, hilbert_from_lms,
+                                 hilbert_numerator, local_hilbert_function,
+                                 nondecreasing_verdict, poly_add, poly_mul,
+                                 poly_shift, product_factorization_check)
+from curvegluing.polyalg import Polynomial, m_divides, minimal_indices
 from curvegluing.semigroup import minimal_generators
-from curvegluing.toric import MonomialCurve, curve
+from curvegluing.tangentcone import tangent_cone
+from curvegluing.toric import MonomialCurve, curve, defining_ideal
 
 LMS_32 = [(0, 0, 2), (1, 0, 1), (0, 3, 1), (0, 6, 0)]
 
@@ -87,6 +89,128 @@ class TestNumerator:
             num = hilbert_numerator(lms, nvars)
             assert expand_series(num, nvars, 12) == \
                 brute_standard_monomial_counts(lms, nvars, 12)
+
+
+def unweighted_numerator(lms, nvars):
+    """The standard-grading recursion with dense (1 - t^d) products."""
+    lms = [lms[i] for i in minimal_indices([tuple(m) for m in lms])]
+    if not lms:
+        return [1]
+    if len(lms) == 1 or all(not any(a and b for a, b in zip(u, v))
+                            for i, u in enumerate(lms) for v in lms[i + 1:]):
+        out = [1]
+        for m in lms:
+            out = poly_mul(out, [1] + [0] * (sum(m) - 1) + [-1])
+        return out
+    var = max(range(nvars), key=lambda v: sum(1 for m in lms if m[v]))
+    power = min(m[var] for m in lms if m[var])
+    pivot = tuple(power if v == var else 0 for v in range(nvars))
+    plus = [pivot] + [m for m in lms if m[var] < power]
+    colon = [tuple(max(0, e - power) if v == var else e
+                   for v, e in enumerate(m)) for m in lms]
+    return poly_add(unweighted_numerator(plus, nvars),
+                    poly_shift(unweighted_numerator(colon, nvars), power))
+
+
+def brute_weighted_counts(lms, weights, maxdeg):
+    """Standard monomials of each weighted degree 0..maxdeg, by enumeration."""
+    counts = [0] * (maxdeg + 1)
+
+    def rec(v, mono, deg):
+        if v == len(weights):
+            if not any(m_divides(m, tuple(mono)) for m in lms):
+                counts[deg] += 1
+            return
+        e = 0
+        while deg + e * weights[v] <= maxdeg:
+            rec(v + 1, mono + [e], deg + e * weights[v])
+            e += 1
+
+    rec(0, [], 0)
+    return counts
+
+
+def expand_weighted_series(numerator, weights, maxdeg):
+    series = (list(numerator) + [0] * (maxdeg + 1))[:maxdeg + 1]
+    for w in weights:  # divide by (1 - t^w)
+        for i in range(w, maxdeg + 1):
+            series[i] += series[i - w]
+    return series
+
+
+class TestWeightedNumerator:
+    def test_unit_weights_match_unweighted_recursion(self):
+        rng = random.Random(211)
+        for _ in range(80):
+            nvars = rng.randint(1, 4)
+            lms = {tuple(rng.randint(0, 4) for _ in range(nvars))
+                   for _ in range(rng.randint(1, 7))}
+            lms = [m for m in lms if sum(m) > 0]
+            if not lms:
+                continue
+            expect = unweighted_numerator(lms, nvars)
+            for rule in ("frequent", "first"):
+                assert hilbert_numerator(lms, nvars, pivot_rule=rule) == expect
+                assert hilbert_numerator(lms, nvars, pivot_rule=rule,
+                                         weights=(1,) * nvars) == expect
+
+    def test_random_against_brute_force(self):
+        rng = random.Random(223)
+        for _ in range(50):
+            nvars = rng.randint(1, 4)
+            weights = tuple(rng.randint(1, 5) for _ in range(nvars))
+            lms = {tuple(rng.randint(0, 3) for _ in range(nvars))
+                   for _ in range(rng.randint(1, 5))}
+            lms = [m for m in lms if sum(m) > 0]
+            if not lms:
+                continue
+            for rule in ("frequent", "first"):
+                num = hilbert_numerator(lms, nvars, pivot_rule=rule,
+                                        weights=weights)
+                assert expand_weighted_series(num, weights, 24) == \
+                    brute_weighted_counts(lms, weights, 24)
+
+    def test_principal_weighted(self):
+        # <x^2> with deg x = 3: numerator 1 - t^6
+        assert hilbert_numerator([(2, 0)], 2, weights=(3, 5)) == \
+            [1, 0, 0, 0, 0, 0, -1]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("gens", [[2, 3], [3, 5, 7], [6, 7, 15],
+                                      [5, 12], [4, 6, 9], [8, 9, 10, 11]])
+    def test_defining_ideal_certified(self, gens):
+        C = curve(gens)
+        assert certifies_defining_ideal(tangent_cone(C).lm_set, C)
+
+    def test_binding_order_is_free(self):
+        C = MonomialCurve((16, 24, 28, 35), ("x1", "x2", "y1", "y2"))
+        assert certifies_defining_ideal(tangent_cone(C).lm_set, C)
+
+    def test_proper_subideal_rejected(self):
+        C = curve([3, 5, 7])
+        gens = defining_ideal(C)
+        for dropped in range(len(gens)):
+            rest = gens[:dropped] + gens[dropped + 1:]
+            rep = tangent_cone(C, ideal_gens=rest)
+            assert not certifies_defining_ideal(rep.lm_set, C)
+
+    def test_square_of_generator_rejected(self):
+        C = curve([2, 3])
+        (g,) = defining_ideal(C)
+        rep = tangent_cone(C, ideal_gens=[g * g])
+        assert not certifies_defining_ideal(rep.lm_set, C)
+
+    def test_zero_ideal_rejected(self):
+        C = curve([2, 3])
+        assert not certifies_defining_ideal([], C)
+
+    def test_line_needs_no_generator(self):
+        C = curve([1])
+        assert certifies_defining_ideal([], C)
+        x = Polynomial.variable(0, 1)
+        assert not certifies_defining_ideal(
+            tangent_cone(C, ideal_gens=[x]).lm_set, C)
 
 
 class TestDivision:
