@@ -21,7 +21,7 @@ from .hilbert import local_hilbert_function
 from .polyalg import (degrevlex, infer_variable_names, negdegrevlex,
                       parse_polynomial, polynomial_to_str)
 from .tangentcone import tangent_cone
-from .toric import MonomialCurve, defining_ideal, is_complete_intersection
+from .toric import MonomialCurve, defining_ideal
 from .toric import curve as make_curve
 
 SCHEMA = 1
@@ -32,6 +32,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
+    except argparse.ArgumentTypeError as exc:  # a bad path inside a config
+        parser.error(str(exc))
     except (DomainError, SelfCheckFailed, TheoremViolation) as exc:
         code = getattr(exc, "code", type(exc).__name__)
         print(f"error [{code}]: {exc}", file=sys.stderr)
@@ -84,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert function of the curve's local ring")
     p.add_argument("generators", nargs="+", type=_parse_gens)
-    p.add_argument("--limit", type=int, default=None, help="Hilbert function prefix length")
+    p.add_argument("--limit", type=_int_at_least(0), default=None,
+                   help="last degree of the Hilbert function prefix")
     _common_flags(p)
     p.set_defaults(func=cmd_hilbert)
 
@@ -95,15 +98,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the gluing theorems on one instance")
     _gluing_flags(p)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_int_at_least(0), default=None)
     p.add_argument("--no-cross-check", action="store_true",
                    help="skip the Hilbert-series certificate of the glued ideal")
     _common_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="verify a one-parameter family from a config file")
-    p.add_argument("--config", required=True, type=_readable_file)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--config", required=True, type=_openable_path)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--cross-check", action="store_true",
                    help="certify the glued ideal of every instance by its "
                         "Hilbert series")
@@ -139,26 +142,32 @@ def _parse_gens(token: str) -> list[int]:
             f"generators must be integers, got {token!r}") from None
 
 
-def _positive_int(token: str) -> int:
-    """An argparse ``type`` for counts such as ``--jobs``: at least 1."""
-    try:
-        n = int(token)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {token!r}")
-    return n
+def _int_at_least(low: int):
+    """An argparse ``type`` for counts such as ``--jobs``: at least ``low``."""
+    def parse(token: str) -> int:
+        try:
+            n = int(token)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {token!r}")
+        return n
+    return parse
 
 
-def _readable_file(path: str) -> str:
-    """An argparse ``type``: a path that opens for reading, else exit 2."""
+def _openable_path(path: str, mode: str = "r") -> str:
+    """An argparse ``type``: a path that opens in ``mode``, else exit 2.
+
+    Mode "a" probes a path for writing without truncating it.
+    """
     try:
-        with open(path):
+        with open(path, mode):
             pass
     except OSError as exc:
+        verb = "read" if mode == "r" else "write"
         raise argparse.ArgumentTypeError(
-            f"cannot read {path!r}: {exc.strerror}") from None
+            f"cannot {verb} {path!r}: {exc.strerror}") from None
     return path
 
 
@@ -202,7 +211,7 @@ def cmd_ideal(args) -> dict:
         "variables": list(C.names),
         "generators": [polynomial_to_str(g, C.names) for g in gens],
         "minimal_generator_count": len(gens),
-        "complete_intersection": is_complete_intersection(C),
+        "complete_intersection": len(gens) == C.nvars - 1,
     }
 
 
@@ -315,6 +324,8 @@ def cmd_scan(args) -> dict:
         except ValueError as exc:  # not JSON, or not text
             raise MalformedConfig(f"{args.config}: {exc}") from None
     template = gl.FamilyTemplate.from_config(cfg)
+    if template.output:
+        _openable_path(template.output, "a")
     records = gl.scan_family(template, jobs=args.jobs,
                              cross_check_ideal=args.cross_check)
     if template.output:

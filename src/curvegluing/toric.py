@@ -2,7 +2,7 @@
 
 The curve t -> (t^n1, ..., t^nk) has a binomial prime kernel; we compute it
 by adjoining one parameter variable and eliminating it with a Groebner basis,
-then pruning redundant generators so small examples print compactly.
+then pruning redundant generators, which leaves a minimal presentation.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def check_kernel_element(g: Polynomial, C: MonomialCurve):
 
 
 def minimal_generator_count(gens: list[Polynomial], nvars: int) -> int:
-    """Size of a minimal generating set among the given generators.
+    """Size of a minimal generating set among ``gens``; the test reference.
 
     Precondition: every generator is homogeneous for one positive grading,
     as the semigroup grading makes every kernel and glued generator.  By
@@ -131,11 +131,9 @@ def minimal_generator_count(gens: list[Polynomial], nvars: int) -> int:
 
 
 def is_complete_intersection(C: MonomialCurve) -> bool:
-    """True when the defining ideal needs exactly (variables - 1) generators."""
-    if C.nvars == 1:
-        return True
-    gens = defining_ideal(C)
-    return minimal_generator_count(gens, C.nvars) == C.nvars - 1
+    """True when the defining ideal needs exactly (variables - 1) generators;
+    ``defining_ideal`` is graded and irredundant, so minimal (Nakayama)."""
+    return len(defining_ideal(C)) == C.nvars - 1
 
 
 def ideals_equal(gens_a: list[Polynomial], gens_b: list[Polynomial],

@@ -53,6 +53,24 @@ class TestIdealCommand:
         assert code == 0
         assert "complete_intersection: True" in out
 
+    def test_curve_eliminated_once(self, capsys, monkeypatch):
+        import curvegluing.cli as cli
+        import curvegluing.toric as toric
+
+        calls = []
+        real = toric.defining_ideal
+
+        def spy(C):
+            calls.append(C.generators)
+            return real(C)
+
+        monkeypatch.setattr(cli, "defining_ideal", spy)
+        monkeypatch.setattr(toric, "defining_ideal", spy)
+        code, out, _ = run_cli(capsys, "ideal", "6", "7", "15")
+        assert code == 0
+        assert "complete_intersection: True" in out
+        assert calls == [(6, 7, 15)]
+
     def test_raw_global_basis(self, capsys):
         code, out, _ = run_cli(capsys, "ideal", "--raw",
                                "t^2 - x1; t^3 - x2", "--vars", "t,x1,x2")
@@ -236,6 +254,49 @@ class TestExitCodes:
             self._scan(capsys, tmp_path, self.CFG, f"--jobs={jobs}")
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [
+        (["hilbert", "6", "7", "15"], "hilbert_function"),
+        (["verify", "--s1", "2,3", "--s2", "4,5", "--p", "7", "--q", "8"],
+         "glued_hf_prefix"),
+    ])
+    def test_negative_limit(self, capsys, command, key):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, *command, "--limit", "0", "--json")
+        assert code == 0
+        assert json.loads(out)[key] == [1]
+
+    def test_unwritable_output_fails_before_scanning(self, capsys, tmp_path,
+                                                      monkeypatch):
+        import curvegluing.gluing as gl
+
+        verified = []
+        monkeypatch.setattr(gl, "verify_instance",
+                            lambda spec, **kw: verified.append(spec))
+        output = str(tmp_path / "missing" / "x.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            self._scan(capsys, tmp_path, {**self.CFG, "output": output})
+        assert exc.value.code == 2
+        assert output in capsys.readouterr().err
+        assert verified == []
+
+    def test_output_kept_when_scan_fails(self, capsys, tmp_path, monkeypatch):
+        import curvegluing.gluing as gl
+        from curvegluing.errors import SelfCheckFailed
+
+        def broken(spec, cross_check_ideal=True, hf_prefix_len=None):
+            raise SelfCheckFailed("planted")
+
+        monkeypatch.setattr(gl, "verify_instance", broken)
+        output = tmp_path / "records.jsonl"
+        output.write_text("earlier records\n")
+        code, _, _ = self._scan(capsys, tmp_path,
+                                {**self.CFG, "output": str(output)})
+        assert code == 1
+        assert output.read_text() == "earlier records\n"
 
     def test_self_check_failure_prints_bundle(self, capsys, tmp_path,
                                               monkeypatch):

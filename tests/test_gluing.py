@@ -17,7 +17,8 @@ from curvegluing.gluing import (FamilyTemplate, glued_curve, glued_ideal,
 from curvegluing.hilbert import certifies_defining_ideal
 from curvegluing.polyalg import parse_polynomial
 from curvegluing.tangentcone import tangent_cone
-from curvegluing.toric import check_kernel_element, defining_ideal, ideals_equal
+from curvegluing.toric import (check_kernel_element, defining_ideal,
+                               ideals_equal, minimal_generator_count)
 
 from family_samples import random_nice_gluing
 
@@ -325,6 +326,67 @@ class TestHilbertCertificate:
         report = verify_instance(spec, cross_check_ideal=True)
         assert report.ideal_cross_check is True
         assert sorted(eliminated) == [(5, 12), (7, 8)]
+
+
+class TestPresentationSize:
+    """``complete_intersection`` read off the glued presentation's size,
+    against the pruned count of ``minimal_generator_count``."""
+
+    def _check(self, spec) -> bool:
+        gens = glued_ideal(spec)
+        nvars = len(spec.glued_generators)
+        pruned = minimal_generator_count(gens, nvars)
+        assert len(gens) == pruned
+        report = verify_instance(spec, cross_check_ideal=False)
+        assert report.complete_intersection == (pruned == nvars - 1)
+        return report.complete_intersection
+
+    def test_every_member_of_the_shipped_configs(self):
+        specs = shipped_config_specs({"family_q.json": 29, "family_r.json": 25})
+        assert len(specs) == 50
+        assert all(self._check(spec) for spec in specs)
+
+    def test_seeded_nice_gluings(self):
+        for dims in ((2, 2), (3, 2), (2, 3)):
+            for spec in small_nice_gluings(307, dims, 3):
+                self._check(spec)
+
+    def test_non_nice_example(self):
+        assert self._check(validate_gluing([5, 12], [7, 8], 17, 21))
+
+    @pytest.mark.parametrize("s1,s2,p,q", [
+        ([3, 4, 5], [2, 3], 7, 5),
+        ([3, 4, 5], [2, 3], 7, 4),
+        ([2, 3], [3, 4, 5], 5, 7),
+        ([2, 3], [3, 4, 5], 5, 6),
+    ])
+    def test_non_complete_intersection_component(self, s1, s2, p, q):
+        assert not self._check(validate_gluing(s1, s2, p, q))
+
+    def test_no_membership_test_in_the_glued_ring(self, monkeypatch):
+        import curvegluing.basis as basis
+        import curvegluing.toric as toric
+
+        arities = []
+
+        def spying(real):
+            def spy(*args, **kwargs):
+                polys = args[0] if isinstance(args[0], list) else [args[0]]
+                arities.extend(len(next(iter(g.terms))) for g in polys
+                               if not g.is_zero())
+                return real(*args, **kwargs)
+            return spy
+
+        for module, name in ((toric, "_prune_redundant"),
+                             (toric, "is_member_global"),
+                             (basis, "is_member_global"),
+                             (toric, "buchberger"),
+                             (basis, "buchberger")):
+            monkeypatch.setattr(module, name, spying(getattr(module, name)))
+        spec = validate_gluing([5, 12], [7, 8], 17, 21)
+        report = verify_instance(spec, cross_check_ideal=True)
+        assert report.ideal_cross_check is True
+        assert arities and 4 not in arities  # the glued ring: 2 + 2 variables
 
 
 class TestTheoremSuites:

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from family_samples import random_nice_gluing
+from family_samples import random_nice_gluing, random_semigroup
 
 from curvegluing.basis import buchberger, is_member_global
 from curvegluing.gluing import glued_ideal
@@ -97,6 +97,19 @@ class TestMinimalGeneratorCount:
         f = parse_polynomial("x1^3 - x2^2", C.names)
         g = f * parse_polynomial("x1 + x2", C.names)
         assert minimal_generator_count([f, g], 2) == 1
+
+    def test_complete_intersection_is_the_presentation_size(self):
+        rng = random.Random(71)
+        for embdim in (2, 3, 4):
+            for _ in range(8):
+                C = curve(random_semigroup(rng, embdim).generators)
+                reference = minimal_generator_count(defining_ideal(C), embdim)
+                assert is_complete_intersection(C) == (reference == embdim - 1)
+
+    def test_line_is_complete_intersection(self):
+        C = curve([1])
+        assert defining_ideal(C) == []
+        assert is_complete_intersection(C)
 
     def test_matches_fixed_point_loop_on_glued_ideals(self):
         rng = random.Random(61)
