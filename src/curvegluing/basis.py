@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonGlobalOrder, NonLocalOrder
-from .polyalg import (Mono, MonomialOrder, Polynomial, leading_term,
-                      m_coprime, m_deg, m_div, m_divides, m_lcm,
+from .polyalg import (Coeff, Mono, MonomialOrder, Polynomial, exact_quotient,
+                      leading_term, m_coprime, m_deg, m_div, m_divides, m_lcm,
                       minimal_indices, monic, spoly)
 
 
@@ -39,7 +38,7 @@ class _Reducers:
         self.order = order
         self.polys: list[Polynomial] = []
         self.lms: list[Mono] = []
-        self.lcs: list[Fraction] = []
+        self.lcs: list[Coeff] = []
         self.degs: list[int] = []  # total degrees, for ecart
         for p in polys:
             self.add(p)
@@ -79,14 +78,14 @@ def normal_form_global(f: Polynomial, basis: list[Polynomial],
 def _nf_global(f: Polynomial, red: _Reducers) -> Polynomial:
     order = red.order
     lms = red.lms
-    rem: dict[Mono, Fraction] = {}
+    rem: dict[Mono, Coeff] = {}
     h = f
     while h.terms:
         mh, ch = leading_term(h, order)
         for i in range(len(lms)):
             if m_divides(lms[i], mh):
-                h = h - red.polys[i].mul_term(ch / red.lcs[i],
-                                              m_div(mh, lms[i]))
+                h = h - red.polys[i].mul_term(
+                    exact_quotient(ch, red.lcs[i]), m_div(mh, lms[i]))
                 break
         else:
             rem[mh] = ch
@@ -149,7 +148,7 @@ def _nf_mora(f: Polynomial, red: _Reducers, return_unit: bool = False):
         if best_e > ecart_h:
             red.add(h)
             tail_units.append(u)
-        t_coeff = ch / red.lcs[best]
+        t_coeff = exact_quotient(ch, red.lcs[best])
         t_mono = m_div(mh, red.lms[best])
         h = h - red.polys[best].mul_term(t_coeff, t_mono)
         if best >= n_fixed:

@@ -9,6 +9,7 @@ name printed), 2 (usage).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,7 +54,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    ``parse_args`` and ``error`` leave a parser unchanged, so one process can
+    run ``main`` many times on the same parser.
+    """
     parser = argparse.ArgumentParser(
         prog="curvegluing",
         description="numerical semigroup gluings, tangent cones, and "

@@ -1,12 +1,18 @@
 """Sparse multivariate polynomials over exact rationals, and monomial orders.
 
 Monomials are plain exponent tuples; a :class:`Polynomial` maps monomials to
-nonzero ``Fraction`` coefficients.  Orders compare through a key function, so
-``max(terms, key=order.key)`` is the leading monomial.
+nonzero exact coefficients: an ``int`` when the coefficient is integral, a
+``Fraction`` only when it is not.  The ideals of monomial curves have
+coefficients ±1, so the kernel runs on plain ints and falls back to
+``Fraction`` only for rational input.  Every coefficient division goes
+through :func:`exact_quotient`, so no ``float`` ever reaches a coefficient.
+Orders compare through a key function, so ``max(terms, key=order.key)`` is
+the leading monomial.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +33,7 @@ def m_deg(m: Mono) -> int:
 
 
 def m_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def m_divides(a: Mono, b: Mono) -> bool:
@@ -40,11 +46,11 @@ def m_divides(a: Mono, b: Mono) -> bool:
 
 def m_div(a: Mono, b: Mono) -> Mono:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def m_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def m_coprime(a: Mono, b: Mono) -> bool:
@@ -101,6 +107,9 @@ class MonomialOrder:
             raise ValueError("priority must be a permutation of variable slots")
         if self.kind == ELIMINATION and not self.block:
             raise ValueError("elimination order needs a nonempty block")
+        # leading-term lookups ask for the same monomials' keys many times;
+        # the memo lives and dies with this order object
+        object.__setattr__(self, "_keys", {})
 
     @property
     def nvars(self) -> int:
@@ -115,7 +124,16 @@ class MonomialOrder:
         return not self.is_local
 
     def key(self, m: Mono):
-        """Sort key: key(a) > key(b) iff a > b in this order."""
+        """Sort key: key(a) > key(b) iff a > b in this order.
+
+        Each monomial's key is computed once per order object.
+        """
+        k = self._keys.get(m)
+        if k is None:
+            k = self._keys[m] = self._key(m)
+        return k
+
+    def _key(self, m: Mono):
         tail = tuple(-m[v] for v in reversed(self.priority))
         if self.kind == DEGREVLEX:
             return (sum(m), tail)
@@ -156,8 +174,42 @@ def _default_priority(nvars, priority):
 # polynomials
 # --------------------------------------------------------------------------
 
+Coeff = int | Fraction  # exact; a Fraction only when not integral
+
+
+def exact_coeff(c) -> Coeff:
+    """The exact coefficient ``c``: an ``int`` when integral, else a ``Fraction``.
+
+    A ``float`` is refused with ``TypeError``: it is not exact, and a float
+    such as ``1 / 3`` would silently become a different rational.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_quotient(a: Coeff, b: Coeff) -> Coeff:
+    """``a / b`` exactly: an ``int`` when ``b`` divides ``a``, else a ``Fraction``.
+
+    Plain ``/`` on two ints would give a float.  Raises ``ZeroDivisionError``
+    when ``b`` is zero.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return exact_coeff(Fraction(a) / b)
+
+
 class Polynomial:
-    """Immutable-by-convention sparse polynomial with Fraction coefficients."""
+    """Immutable-by-convention sparse polynomial with exact coefficients.
+
+    A coefficient is an ``int`` when integral and a ``Fraction`` otherwise;
+    every operation keeps it so.  ``int`` and ``Fraction(n, 1)`` compare and
+    hash alike, so equality does not depend on the representation.
+    """
 
     __slots__ = ("terms",)
 
@@ -167,11 +219,11 @@ class Polynomial:
         if _clean:
             cleaned = {}
             for m, c in terms.items():
-                c = Fraction(c)
+                c = exact_coeff(c)
                 if c:
                     cleaned[tuple(m)] = c
             terms = cleaned
-        self.terms: dict[Mono, Fraction] = terms
+        self.terms: dict[Mono, Coeff] = terms
 
     # construction helpers ---------------------------------------------
 
@@ -181,7 +233,7 @@ class Polynomial:
 
     @classmethod
     def term(cls, coeff, mono: Mono) -> "Polynomial":
-        c = Fraction(coeff)
+        c = exact_coeff(coeff)
         return cls({tuple(mono): c} if c else {}, _clean=False)
 
     @classmethod
@@ -219,7 +271,7 @@ class Polynomial:
         for m, c in other.terms.items():
             s = res.get(m, 0) + c
             if s:
-                res[m] = s
+                res[m] = exact_coeff(s)
             else:
                 res.pop(m, None)
         return Polynomial(res, _clean=False)
@@ -229,7 +281,7 @@ class Polynomial:
         for m, c in other.terms.items():
             s = res.get(m, 0) - c
             if s:
-                res[m] = s
+                res[m] = exact_coeff(s)
             else:
                 res.pop(m, None)
         return Polynomial(res, _clean=False)
@@ -238,13 +290,13 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self.terms.items()}, _clean=False)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        res: dict[Mono, Fraction] = {}
+        res: dict[Mono, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m_mul(m1, m2)
                 s = res.get(m, 0) + c1 * c2
                 if s:
-                    res[m] = s
+                    res[m] = exact_coeff(s)
                 else:
                     res.pop(m, None)
         return Polynomial(res, _clean=False)
@@ -252,14 +304,14 @@ class Polynomial:
     def mul_term(self, coeff, mono: Mono) -> "Polynomial":
         if not coeff:
             return Polynomial.zero()
-        return Polynomial({m_mul(m, mono): c * coeff
+        return Polynomial({m_mul(m, mono): exact_coeff(c * coeff)
                            for m, c in self.terms.items()}, _clean=False)
 
     def scale(self, coeff) -> "Polynomial":
         if not coeff:
             return Polynomial.zero()
-        return Polynomial({m: c * coeff for m, c in self.terms.items()},
-                          _clean=False)
+        return Polynomial({m: exact_coeff(c * coeff)
+                           for m, c in self.terms.items()}, _clean=False)
 
     def __repr__(self):
         if not self.terms:
@@ -268,7 +320,7 @@ class Polynomial:
         return "Polynomial(" + " + ".join(f"{c}*{m}" for m, c in parts) + ")"
 
 
-def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Mono, Fraction]:
+def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Mono, Coeff]:
     """Order-maximal (monomial, coefficient) pair of a nonzero polynomial."""
     if f.is_zero():
         raise ZeroPolynomial("leading term of the zero polynomial")
@@ -300,12 +352,13 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     mf, cf = leading_term(f, order)
     mg, cg = leading_term(g, order)
     lcm = m_lcm(mf, mg)
-    return f.mul_term(1 / cf, m_div(lcm, mf)) - g.mul_term(1 / cg, m_div(lcm, mg))
+    return (f.mul_term(exact_quotient(1, cf), m_div(lcm, mf))
+            - g.mul_term(exact_quotient(1, cg), m_div(lcm, mg)))
 
 
 def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
     _, c = leading_term(f, order)
-    return f if c == 1 else f.scale(1 / c)
+    return f if c == 1 else f.scale(exact_quotient(1, c))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,13 @@ from curvegluing.semigroup import minimal_generators
 
 
 def random_semigroup(rng, embdim, max_gen=15):
-    """Minimal semigroup with the exact embedding dimension requested."""
+    """Minimal semigroup with the exact embedding dimension requested.
+
+    Generators are drawn from ``2..max_gen``, so ``embdim`` must be at least
+    2: the only semigroup of embedding dimension 1 is the naturals, ``<1>``.
+    """
+    if embdim < 2:
+        raise ValueError(f"embedding dimension must be at least 2, got {embdim}")
     while True:
         gens = sorted(rng.sample(range(2, max_gen + 1), embdim))
         g = 0

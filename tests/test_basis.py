@@ -1,7 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvegluing.basis import (buchberger, interreduce_global, leading_ideal,
                                mora_weak_nf, normal_form_global,
@@ -9,7 +11,7 @@ from curvegluing.basis import (buchberger, interreduce_global, leading_ideal,
 from curvegluing.errors import NonGlobalOrder, NonLocalOrder
 from curvegluing.polyalg import (Polynomial, degrevlex, elimination,
                                  leading_monomial, m_coprime, m_divides,
-                                 negdegrevlex, parse_polynomial, spoly)
+                                 monic, negdegrevlex, parse_polynomial, spoly)
 
 NAMES3 = ("x1", "x2", "x3")
 NAMES4 = ("x1", "x2", "y1", "y2")
@@ -216,3 +218,59 @@ def _random_binomial(rng, nvars):
     a = tuple(rng.randint(0, 4) for _ in range(nvars))
     b = tuple(rng.randint(0, 4) for _ in range(nvars))
     return Polynomial.term(1, a) - Polynomial.term(1, b)
+
+
+# small ideals with rational coefficients in three variables
+rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), rationals, min_size=1, max_size=3
+).map(Polynomial).filter(bool)
+small_ideals = st.lists(small_polys, min_size=1, max_size=3)
+
+
+def exactly_represented(f: Polynomial) -> bool:
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in f.terms.values())
+
+
+class TestExactReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, small_ideals)
+    def test_global_normal_form_is_exact(self, f, basis):
+        r = normal_form_global(f, basis, degrevlex(3))
+        assert exactly_represented(r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, small_ideals)
+    def test_mora_normal_form_is_exact(self, f, basis):
+        r, u = mora_weak_nf(f, basis, negdegrevlex(3), return_unit=True)
+        assert exactly_represented(r) and exactly_represented(u)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestAgainstSympy:
+    """The reduced degrevlex basis equals sympy's reduced grevlex basis."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(gens=small_ideals)
+    def test_reduced_basis_matches_sympy(self, sympy, gens):
+        order = degrevlex(3)
+        ours = interreduce_global(list(buchberger(gens, order).elements),
+                                  order)
+        xs = sympy.symbols("x1:4")
+        exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                     * sympy.Mul(*(x ** e for x, e in zip(xs, m)))
+                     for m, c in g.terms.items()) for g in gens]
+        theirs = [Polynomial({m: Fraction(int(c.p), int(c.q))
+                              for m, c in p.terms()})
+                  for p in sympy.groebner(exprs, *xs, order="grevlex").polys]
+        assert _canonical(ours, order) == _canonical(theirs, order)
+
+
+def _canonical(basis, order):
+    return sorted(tuple(sorted(monic(g, order).terms.items())) for g in basis)

@@ -313,6 +313,57 @@ class TestExitCodes:
         assert 'reproduce: {"p": 7, "q": 8, "r": 1}' in err
 
 
+SEQUENCE = [
+    ["verify", "--s1", "5,12", "--s2", "7,8", "--p", "17", "--q", "21",
+     "--json"],
+    ["scan", "--config", "configs/family_r.json", "--json"],
+    ["hilbert", "6", "7", "15", "--limit", "0", "--json"],
+    ["hilbert", "6", "7", "15", "--limit", "-1"],
+]
+
+
+def test_one_process_runs_many_commands(capsys, monkeypatch):
+    # the parser is built once per process; reusing it must not change any
+    # output or exit code against a fresh interpreter per call
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    in_process = []
+    for argv in SEQUENCE:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    separate = []
+    for argv in SEQUENCE:
+        proc = subprocess.run([sys.executable, "-m", "curvegluing", *argv],
+                              capture_output=True, text=True, cwd=root)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2]
+    assert "--limit" in in_process[-1][2]
+    assert in_process == separate
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    import argparse
+
+    main(["semigroup", "2", "3"])
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["semigroup", "2", "3"]) == 0
+    assert main(["hilbert", "6", "7", "15", "--limit", "0"]) == 0
+    assert built == []
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "curvegluing", "semigroup", "2", "3"],

@@ -6,10 +6,11 @@ from hypothesis import given, strategies as st
 
 from curvegluing.errors import ArityMismatch, ZeroPolynomial
 from curvegluing.polyalg import (Polynomial, degrevlex, ecart, elimination,
-                                 leading_monomial, leading_term,
-                                 least_degree_form, m_deg, m_divides, m_mul,
-                                 minimal_indices, negdegrevlex,
-                                 parse_polynomial, polynomial_to_str, spoly)
+                                 exact_quotient, leading_monomial,
+                                 leading_term, least_degree_form, m_deg,
+                                 m_divides, m_mul, minimal_indices, monic,
+                                 negdegrevlex, parse_polynomial,
+                                 polynomial_to_str, spoly)
 
 NAMES4 = ("x1", "x2", "y1", "y2")
 ORDER22 = negdegrevlex(4, priority=(1, 3, 2, 0))  # x2 > y2 > y1 > x1
@@ -187,6 +188,78 @@ class TestArithmetic:
         assert (f - f).is_zero()
 
 
+def exactly_represented(f: Polynomial) -> bool:
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in f.terms.values())
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+rational_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4), rationals, max_size=4
+).map(Polynomial)
+nonzero_rational_polys = rational_polys.filter(bool)
+
+
+class TestExactCoefficients:
+    @given(rational_polys, rational_polys, rationals,
+           st.tuples(*[st.integers(0, 2)] * 4))
+    def test_arithmetic_never_leaves_exact_coefficients(self, f, g, c, m):
+        assert exactly_represented(f) and exactly_represented(g)
+        for h in (f + g, f - g, -f, f * g, f.mul_term(c, m), f.scale(c)):
+            assert exactly_represented(h)
+
+    @given(nonzero_rational_polys, nonzero_rational_polys)
+    def test_monic_and_spoly_stay_exact(self, f, g):
+        for order in (degrevlex(4), ORDER22):
+            assert exactly_represented(monic(f, order))
+            assert leading_term(monic(f, order), order)[1] == 1
+            assert exactly_represented(spoly(f, g, order))
+
+    def test_monic_divides_exactly(self):
+        f = monic(P("2*x1 - 3"), degrevlex(4))
+        assert f.terms == {M("x1"): 1, (0, 0, 0, 0): Fraction(-3, 2)}
+        assert type(f.terms[M("x1")]) is int
+        assert type(f.terms[(0, 0, 0, 0)]) is Fraction
+
+    def test_integral_results_become_ints(self):
+        half = Polynomial.term(Fraction(1, 2), M("x1"))
+        assert type((half + half).terms[M("x1")]) is int
+        assert type(half.scale(4).terms[M("x1")]) is int
+        assert type(Polynomial({M("x1"): Fraction(6, 3)}).terms[M("x1")]) is int
+
+    def test_exact_quotient(self):
+        assert exact_quotient(6, 3) == 2 and type(exact_quotient(6, 3)) is int
+        assert exact_quotient(1, -1) == -1
+        assert type(exact_quotient(1, -1)) is int
+        assert exact_quotient(3, 2) == Fraction(3, 2)
+        assert exact_quotient(Fraction(3, 2), Fraction(3, 4)) == 2
+        assert type(exact_quotient(Fraction(3, 2), Fraction(3, 4))) is int
+        assert exact_quotient(Fraction(1, 2), 3) == Fraction(1, 6)
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                exact_quotient(1, zero)
+            with pytest.raises(ZeroDivisionError):
+                exact_quotient(Fraction(1, 2), zero)
+
+    def test_floats_are_refused(self):
+        x1 = M("x1")
+        with pytest.raises(TypeError):
+            Polynomial.term(0.5, x1)
+        with pytest.raises(TypeError):
+            Polynomial({x1: 1.0})
+        with pytest.raises(TypeError):
+            P("x1 - 1").mul_term(1 / 3, x1)
+
+    def test_int_and_integral_fraction_are_the_same_polynomial(self):
+        m = M("x1*y2")
+        as_int = Polynomial({m: 3, (0, 0, 0, 0): -1}, _clean=False)
+        as_fraction = Polynomial({m: Fraction(3, 1),
+                                  (0, 0, 0, 0): Fraction(-1, 1)}, _clean=False)
+        assert as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+
+
 class TestTextualSyntax:
     @pytest.mark.parametrize("text", [
         "x1^12 - x2^5",
@@ -206,6 +279,11 @@ class TestTextualSyntax:
         f = P("3/2*x1 - 1/7")
         assert f.terms[M("x1")] == Fraction(3, 2)
         assert P(polynomial_to_str(f, NAMES4)) == f
+
+    def test_rational_round_trip_is_textual(self):
+        f = P("3/2*x1 - x2")
+        assert f.terms == {M("x1"): Fraction(3, 2), M("x2"): -1}
+        assert polynomial_to_str(f, NAMES4) == "3/2*x1 - x2"
 
     @given(st.lists(
         st.tuples(st.integers(-9, 9),

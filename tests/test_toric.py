@@ -161,3 +161,10 @@ def _fixed_point_count(gens, nvars):
                 changed = True
                 break
     return len(kept)
+
+
+def test_random_semigroup_rejects_embedding_dimension_below_two():
+    # generators are drawn from 2.., so <1> can never come out of the loop
+    for embdim in (1, 0):
+        with pytest.raises(ValueError, match="at least 2"):
+            random_semigroup(random.Random(0), embdim)
