@@ -2,7 +2,9 @@
 
 The numerator N(t) of K[x_1..x_n]/<monomials> over prod (1-t^{w_i}), with
 deg x_i = w_i (all ones by default), comes from the pivot recursion
-N(I) = N(I + <p>) + t^deg(p) * N(I : p) (Bigatti 1997); dividing out
+N(I) = N(I + <p>) + t^deg(p) * N(I : p) (Bigatti 1997), computed on
+sparse degree maps {degree: coefficient}, so a weighted numerator costs its
+number of terms rather than its degree.  Dividing out
 (1-t)^(k-1) exactly leaves the reduced numerator h(t) of a one-dimensional
 quotient, whose partial sums are the Hilbert function.  With the semigroup
 weights the same numerator certifies a presentation of a curve's semigroup
@@ -19,6 +21,7 @@ from .tangentcone import TangentConeReport, tangent_cone
 from .toric import MonomialCurve
 
 IntPoly = list  # univariate integer polynomial, coefficient list by degree
+SparsePoly = dict  # univariate integer polynomial, {degree: non-zero coeff}
 
 
 # --------------------------------------------------------------------------
@@ -55,14 +58,6 @@ def _trim(a: IntPoly) -> IntPoly:
     return a
 
 
-def _times_one_minus_power(a: IntPoly, d: int) -> IntPoly:
-    """a(t) * (1 - t^d) by one shift-and-subtract pass."""
-    out = list(a) + [0] * d
-    for i, c in enumerate(a):
-        out[i + d] -= c
-    return _trim(out)
-
-
 def divide_by_one_minus_t(a: IntPoly) -> IntPoly:
     """Exact quotient a(t)/(1-t); raises when (1-t) does not divide a."""
     if poly_eval_one(a) != 0:
@@ -93,8 +88,16 @@ def hilbert_numerator(lms: list[Mono], nvars: int,
     """
     if weights is None:
         weights = (1,) * nvars
-    lms = _minimalize_monomials(lms)
-    return _numerator(tuple(lms), nvars, pivot_rule, tuple(weights))
+    num = _sparse_numerator(lms, nvars, pivot_rule, tuple(weights))
+    if not num:
+        return [0]
+    return [num.get(d, 0) for d in range(max(num) + 1)]
+
+
+def _sparse_numerator(lms, nvars: int, pivot_rule: str,
+                      weights: tuple[int, ...]) -> SparsePoly:
+    return _numerator(tuple(_minimalize_monomials(lms)), nvars, pivot_rule,
+                      weights)
 
 
 def _minimalize_monomials(lms) -> list[Mono]:
@@ -103,13 +106,13 @@ def _minimalize_monomials(lms) -> list[Mono]:
 
 
 def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str,
-               weights: tuple[int, ...]) -> IntPoly:
+               weights: tuple[int, ...]) -> SparsePoly:
     if not lms:
-        return [1]
+        return {0: 1}
     if any(m_deg(m) == 0 for m in lms):
-        return [0]  # the whole ring is killed
+        return {}  # the whole ring is killed
     if len(lms) == 1 or _pairwise_coprime(lms):
-        out = [1]
+        out = {0: 1}
         for m in lms:
             out = _times_one_minus_power(out, _weighted_deg(m, weights))
         return out
@@ -124,11 +127,27 @@ def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str,
         e = list(m)
         e[var] = max(0, e[var] - power)
         colon.append(tuple(e))
-    n_plus = _numerator(tuple(_minimalize_monomials(plus)), nvars, pivot_rule,
-                        weights)
-    n_colon = _numerator(tuple(_minimalize_monomials(colon)), nvars,
-                         pivot_rule, weights)
-    return poly_add(n_plus, poly_shift(n_colon, power * weights[var]))
+    out = _sparse_numerator(plus, nvars, pivot_rule, weights)
+    n_colon = _sparse_numerator(colon, nvars, pivot_rule, weights)
+    _add_shifted(out, n_colon, 1, power * weights[var])
+    return out
+
+
+def _times_one_minus_power(a: SparsePoly, d: int) -> SparsePoly:
+    """a(t) * (1 - t^d), one update per term of a."""
+    out = dict(a)
+    _add_shifted(out, a, -1, d)
+    return out
+
+
+def _add_shifted(acc: SparsePoly, a: SparsePoly, sign: int, d: int) -> None:
+    """acc += sign * t^d * a in place, dropping coefficients that cancel."""
+    for e, c in a.items():
+        c = acc.get(e + d, 0) + sign * c
+        if c:
+            acc[e + d] = c
+        else:
+            del acc[e + d]
 
 
 def _weighted_deg(m: Mono, weights: tuple[int, ...]) -> int:
@@ -236,18 +255,21 @@ def certifies_defining_ideal(lms: list[Mono], C: MonomialCurve) -> bool:
        of K[x]/I, whatever the order: its series is N_w(t)/prod(1-t^{n_i}).
     3. K[x]/I maps onto K[x]/P degree by degree, so I = P exactly when the
        series agree: N_w(t) (1-t^m) == A(t) prod(1-t^{n_i}).
+    4. m is one of the n_i and Z[t] is a domain, so 1-t^m cancels:
+       N_w(t) == A(t) prod_{n_i != m}(1-t^{n_i}).
 
+    Both sides are sparse degree maps.  The right side costs at most
+    m * 2^(k-1) coefficient updates for k generators, and the left side is
+    the pivot recursion on ``lms``; neither depends on the Frobenius number.
     No Groebner computation is needed beyond the one that produced ``lms``.
     """
-    apery = C.semigroup.apery
-    a_series = [0] * (max(apery) + 1)
-    for w in apery:
-        a_series[w] = 1  # one Apéry element per residue, all distinct
-    rhs = a_series
+    m = C.semigroup.multiplicity
+    rhs = {w: 1 for w in C.semigroup.apery}  # one per residue, all distinct
     for n in C.generators:
-        rhs = _times_one_minus_power(rhs, n)
-    num = hilbert_numerator(list(lms), C.nvars, weights=C.generators)
-    return _times_one_minus_power(num, min(C.generators)) == rhs
+        if n != m:
+            rhs = _times_one_minus_power(rhs, n)
+    return _sparse_numerator(lms, C.nvars, "frequent",
+                             tuple(C.generators)) == rhs
 
 
 def nondecreasing_verdict(h: IntPoly) -> tuple[bool, int | None]:

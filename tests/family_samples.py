@@ -15,9 +15,23 @@ def random_semigroup(rng, embdim, max_gen=15):
 
     Generators are drawn from ``2..max_gen``, so ``embdim`` must be at least
     2: the only semigroup of embedding dimension 1 is the naturals, ``<1>``.
+
+    Such a semigroup exists exactly when ``2*embdim - 1 <= max_gen``:
+
+    - A minimal set with smallest element m has at most m elements, one per
+      residue mod m (two with the same residue differ by a multiple of m, so
+      the larger is not minimal).  All of them lie in ``[m, max_gen]``, so
+      ``embdim <= m <= max_gen - embdim + 1``.
+    - Conversely, ``{e, ..., 2e-1}`` is minimal (a sum of two of its
+      elements is at least 2e) and has gcd 1 (it holds e and e + 1).
+
+    Otherwise the draw could never succeed, so it raises ``ValueError``.
     """
     if embdim < 2:
         raise ValueError(f"embedding dimension must be at least 2, got {embdim}")
+    if 2 * embdim - 1 > max_gen:
+        raise ValueError(f"no minimal set of {embdim} generators lies in "
+                         f"2..{max_gen}; need max_gen >= {2 * embdim - 1}")
     while True:
         gens = sorted(rng.sample(range(2, max_gen + 1), embdim))
         g = 0

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
 
 from curvegluing.errors import DimensionMismatch
+from curvegluing.gluing import glued_curve, glued_ideal, validate_gluing
 from curvegluing.hilbert import (HilbertData, certifies_defining_ideal,
                                  divide_by_one_minus_t, hilbert_from_lms,
                                  hilbert_numerator, local_hilbert_function,
@@ -138,6 +140,39 @@ def expand_weighted_series(numerator, weights, maxdeg):
     return series
 
 
+def dense_weighted_numerator(lms, nvars, weights, pivot_rule):
+    """The pivot recursion on dense coefficient lists, pivots as in hilbert."""
+    lms = [lms[i] for i in minimal_indices([tuple(m) for m in lms])]
+    if not lms:
+        return [1]
+    if any(sum(m) == 0 for m in lms):
+        return [0]
+    if len(lms) == 1 or all(not any(a and b for a, b in zip(u, v))
+                            for i, u in enumerate(lms) for v in lms[i + 1:]):
+        out = [1]
+        for m in lms:  # times (1 - t^d) by one shift-and-subtract pass
+            d = sum(e * w for e, w in zip(m, weights))
+            prev, out = out, out + [0] * d
+            for i, c in enumerate(prev):
+                out[i + d] -= c
+            out = poly_add(out, [0])  # trims trailing zeros
+        return out
+    counts = [sum(1 for m in lms if m[v]) for v in range(nvars)]
+    if pivot_rule == "frequent":
+        var = max(range(nvars), key=lambda v: counts[v])
+    else:
+        var = next(v for v in range(nvars) if counts[v] >= 2)
+    power = min(m[var] for m in lms if m[var])
+    pivot = tuple(power if v == var else 0 for v in range(nvars))
+    plus = [pivot] + [m for m in lms if m[var] < power]
+    colon = [tuple(max(0, e - power) if v == var else e
+                   for v, e in enumerate(m)) for m in lms]
+    return poly_add(
+        dense_weighted_numerator(plus, nvars, weights, pivot_rule),
+        poly_shift(dense_weighted_numerator(colon, nvars, weights, pivot_rule),
+                   power * weights[var]))
+
+
 class TestWeightedNumerator:
     def test_unit_weights_match_unweighted_recursion(self):
         rng = random.Random(211)
@@ -169,6 +204,21 @@ class TestWeightedNumerator:
                                         weights=weights)
                 assert expand_weighted_series(num, weights, 24) == \
                     brute_weighted_counts(lms, weights, 24)
+
+    def test_large_weights_match_dense_recursion(self):
+        rng = random.Random(227)
+        for _ in range(60):
+            nvars = rng.randint(1, 5)
+            weights = tuple(rng.randint(1, 500) for _ in range(nvars))
+            lms = {tuple(rng.randint(0, 4) for _ in range(nvars))
+                   for _ in range(rng.randint(1, 7))}
+            lms = [m for m in lms if sum(m) > 0]
+            if not lms:
+                continue
+            for rule in ("frequent", "first"):
+                assert hilbert_numerator(lms, nvars, pivot_rule=rule,
+                                         weights=weights) == \
+                    dense_weighted_numerator(lms, nvars, weights, rule)
 
     def test_principal_weighted(self):
         # <x^2> with deg x = 3: numerator 1 - t^6
@@ -211,6 +261,40 @@ class TestCertificate:
         x = Polynomial.variable(0, 1)
         assert not certifies_defining_ideal(
             tangent_cone(C, ideal_gens=[x]).lm_set, C)
+
+
+@pytest.fixture(scope="class")
+def family_q_1000():
+    """family_q at q = 1000: max Ap(S, m) is 6 029 993, the Apéry set 6000."""
+    spec = validate_gluing([6, 7, 15], [1], 6007, 1000)
+    return glued_curve(spec), glued_ideal(spec)
+
+
+def certify_in_bounded_memory(C, gens):
+    lms = tangent_cone(C, ideal_gens=gens).lm_set
+    tracemalloc.start()
+    try:
+        verdict = certifies_defining_ideal(lms, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000  # no dense series up to max Ap
+    return verdict
+
+
+class TestCertificateBoundedWork:
+    def test_certificate_holds(self, family_q_1000):
+        C, gens = family_q_1000
+        assert certify_in_bounded_memory(C, gens)
+
+    def test_dropped_component_generator_rejected(self, family_q_1000):
+        C, gens = family_q_1000
+        assert not certify_in_bounded_memory(C, gens[1:])
+
+    def test_squared_bridge_rejected(self, family_q_1000):
+        C, gens = family_q_1000
+        squared = gens[:-1] + [gens[-1] * gens[-1]]
+        assert not certify_in_bounded_memory(C, squared)
 
 
 class TestDivision:

@@ -168,3 +168,15 @@ def test_random_semigroup_rejects_embedding_dimension_below_two():
     for embdim in (1, 0):
         with pytest.raises(ValueError, match="at least 2"):
             random_semigroup(random.Random(0), embdim)
+
+
+def test_random_semigroup_rejects_too_small_generator_range():
+    # 2..4 holds no minimal set of three: {2, 3, 4} minimalizes to {2, 3}
+    with pytest.raises(ValueError, match="max_gen >= 5"):
+        random_semigroup(random.Random(0), 3, max_gen=4)
+
+
+def test_random_semigroup_smallest_feasible_range():
+    # {3, 4, 5} is the only minimal set of three in 2..5
+    S = random_semigroup(random.Random(0), 3, max_gen=5)
+    assert S.generators == (3, 4, 5)
