@@ -19,8 +19,8 @@ from .basis import buchberger, standard_basis
 from .errors import (DomainError, MalformedConfig, SelfCheckFailed,
                      TheoremViolation)
 from .hilbert import local_hilbert_function
-from .polyalg import (degrevlex, infer_variable_names, negdegrevlex,
-                      parse_polynomial, polynomial_to_str)
+from .polyalg import (degrevlex, infer_variable_names, is_variable_name,
+                      negdegrevlex, parse_polynomial, polynomial_to_str)
 from .tangentcone import tangent_cone
 from .toric import MonomialCurve, defining_ideal
 from .toric import curve as make_curve
@@ -226,6 +226,10 @@ def _raw_basis(args) -> dict:
     texts = [t.strip() for t in args.raw.split(";") if t.strip()]
     names = tuple(args.vars.split(",")) if args.vars else \
         tuple(infer_variable_names(args.raw))
+    if len(set(names)) != len(names) or \
+            not all(map(is_variable_name, names)):
+        raise DomainError(
+            f"--vars must be distinct variable names, got {list(names)}")
     polys = [parse_polynomial(t, names) for t in texts]
     priority = _parse_priority(args.order, names) if args.order else None
     if args.local:

@@ -10,18 +10,19 @@ the glued side and checking every conclusion the hypotheses promise.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import gcd
 
 from . import semigroup as sg
 from .basis import standard_basis
 from .errors import (EmptyRange, GcdViolation, GeneratorCollision, GluingError,
-                     MalformedConfig, NotInSemigroup, PIsMinimalGenerator,
-                     QIsMinimalGenerator, SelfCheckFailed, TheoremViolation)
+                     MalformedConfig, MalformedPolynomial, NotInSemigroup,
+                     PIsMinimalGenerator, QIsMinimalGenerator, SelfCheckFailed,
+                     TheoremViolation)
 from .hilbert import (HilbertData, certifies_defining_ideal,
                       local_hilbert_function, product_factorization_check)
-from .polyalg import Polynomial, negdegrevlex
+from .polyalg import (Polynomial, is_variable_name, negdegrevlex,
+                      parse_polynomial)
 from .tangentcone import TangentConeReport, tangent_cone
 from .toric import MonomialCurve, check_kernel_element, defining_ideal
 
@@ -112,11 +113,12 @@ def glued_curve(spec: GluingSpec) -> MonomialCurve:
     names = tuple(f"x{i + 1}" for i in range(l)) + \
         tuple(f"y{j + 1}" for j in range(k))
     gens = spec.glued_generators
-    minimal = sg.minimal_generators(list(gens)).generators
-    if set(minimal) != set(gens) or len(set(gens)) != len(gens):
+    try:
+        return MonomialCurve(gens, names)
+    except ValueError:
         raise SelfCheckFailed(
-            f"glued generators {list(gens)} are not a minimal generating set")
-    return MonomialCurve(gens, names)
+            f"glued generators {list(gens)} are not a minimal generating set"
+        ) from None
 
 
 def glued_ideal(spec: GluingSpec,
@@ -266,8 +268,7 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
                 ghd, list(hd1.reduced_numerator), list(hd2.reduced_numerator),
                 spec.a_witness.coefficients[0])
 
-    glued_sg = sg.NumericalSemigroup(tuple(sorted(spec.glued_generators)))
-    gorenstein = glued_sg.is_symmetric()
+    gorenstein = glued.semigroup.is_symmetric()
     ci = len(rosales) == glued.nvars - 1
 
     return VerificationReport(
@@ -333,9 +334,6 @@ def _leading_decomposition_ok(spec, rep1, rep2, rosales, glued) -> bool:
 # family scans
 # --------------------------------------------------------------------------
 
-_LINEAR = re.compile(r"^\s*(?:(\d+)\s*\*?\s*)?([a-zA-Z]\w*)?\s*$")
-
-
 @dataclass(frozen=True)
 class LinearExpr:
     """coeff * parameter + const, parsed from text like "6*q + 7"."""
@@ -349,29 +347,17 @@ class LinearExpr:
 
 
 def parse_linear(text: str, parameter: str) -> LinearExpr:
-    coeff = 0
-    const = 0
-    for sign, chunk in _signed_chunks(text):
-        m = _LINEAR.match(chunk)
-        if not m or (m.group(2) and m.group(2) != parameter):
-            raise ValueError(f"cannot parse {text!r} as linear in {parameter!r}")
-        if m.group(2):
-            coeff += sign * int(m.group(1) or 1)
-        elif m.group(1):
-            const += sign * int(m.group(1))
-        else:
-            raise ValueError(f"empty term in {text!r}")
-    return LinearExpr(coeff, const, text)
+    """Read ``text`` with :func:`polyalg.parse_polynomial` in ``parameter``.
 
-
-def _signed_chunks(text: str):
-    text = text.strip()
-    if not text:
-        raise ValueError("empty expression")
-    if text[0] not in "+-":
-        text = "+" + text
-    for piece in re.finditer(r"([+-])\s*([^+-]+)", text):
-        yield (1 if piece.group(1) == "+" else -1), piece.group(2)
+    Raises :class:`MalformedPolynomial` unless the text parses and has
+    degree at most 1 with integer coefficients.
+    """
+    f = parse_polynomial(text, (parameter,))
+    if not set(f.terms) <= {(0,), (1,)} or \
+            not all(type(c) is int for c in f.terms.values()):
+        raise MalformedPolynomial(
+            f"{text!r} is not linear in {parameter!r} with integer coefficients")
+    return LinearExpr(f.terms.get((1,), 0), f.terms.get((0,), 0), text)
 
 
 @dataclass(frozen=True)
@@ -401,8 +387,9 @@ class FamilyTemplate:
         if missing:
             raise MalformedConfig(f"missing key(s) {missing}")
         param = cfg["parameter"]
-        if not isinstance(param, str):
-            raise MalformedConfig(f"parameter must be a name, got {param!r}")
+        if not is_variable_name(param):
+            raise MalformedConfig(
+                f"parameter must be a variable name such as q, got {param!r}")
         s1, s2, bounds = (_int_list(cfg, key) for key in ("s1", "s2", "range"))
         if len(bounds) != 2:
             raise MalformedConfig(f"range must be [start, stop], got {bounds}")
@@ -412,11 +399,7 @@ class FamilyTemplate:
         output = cfg.get("output")
         if output is not None and not isinstance(output, str):
             raise MalformedConfig(f"output must be a path, got {output!r}")
-        try:
-            p_expr, q_expr = (parse_linear(str(cfg[key]), param)
-                              for key in ("p", "q"))
-        except ValueError as exc:
-            raise MalformedConfig(str(exc)) from None
+        p_expr, q_expr = (_linear(cfg, key, param) for key in ("p", "q"))
         return cls(s1=s1, s2=s2, parameter=param, p_expr=p_expr,
                    q_expr=q_expr, start=lo, stop=hi, output=output)
 
@@ -427,6 +410,13 @@ def _int_list(cfg: dict, key: str) -> tuple[int, ...]:
             not all(isinstance(n, int) and not isinstance(n, bool) for n in value):
         raise MalformedConfig(f"{key} must be a list of integers, got {value!r}")
     return tuple(value)
+
+
+def _linear(cfg: dict, key: str, parameter: str) -> LinearExpr:
+    try:
+        return parse_linear(str(cfg[key]), parameter)
+    except MalformedPolynomial as exc:
+        raise MalformedConfig(f"{key}: {exc}") from None
 
 
 def scan_instance(template: FamilyTemplate, value: int,

@@ -263,8 +263,9 @@ def certifies_defining_ideal(lms: list[Mono], C: MonomialCurve) -> bool:
     the pivot recursion on ``lms``; neither depends on the Frobenius number.
     No Groebner computation is needed beyond the one that produced ``lms``.
     """
-    m = C.semigroup.multiplicity
-    rhs = {w: 1 for w in C.semigroup.apery}  # one per residue, all distinct
+    S = C.semigroup
+    m = S.multiplicity
+    rhs = {w: 1 for w in S.apery}  # one per residue, all distinct
     for n in C.generators:
         if n != m:
             rhs = _times_one_minus_power(rhs, n)

@@ -57,10 +57,6 @@ def m_coprime(a: Mono, b: Mono) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def m_one(nvars: int) -> Mono:
-    return (0,) * nvars
-
-
 def minimal_indices(monos) -> list[int]:
     """Indices, in input order, of the minimal generators of <monos>.
 
@@ -365,99 +361,63 @@ def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
 # textual syntax:  "x1^12 - x2^5",  "3*x1*y2 + 7"
 # --------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<var>[a-zA-Z]+\d*)|(?P<int>\d+)|(?P<op>[-+^*/()]))")
+_NAME = re.compile(r"[a-zA-Z]+\d*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)(?:\s*/\s*(\d+))?"
+                    rf"|({_NAME.pattern})(?:\s*\^\s*(\d+))?|(\S))")
+# the token kinds that may follow each kind; a sign or the end closes a term
+_FOLLOWS = {"start of text": ("+", "-", "factor"), "+": ("factor",),
+           "-": ("factor",), "*": ("factor",),
+           "factor": ("factor", "*", "+", "-", "end of text")}
 
 
 def parse_polynomial(text: str, names: list[str] | tuple[str, ...]) -> Polynomial:
     """Parse the textual syntax into a polynomial over the given variables.
 
-    Supports integer or rational coefficients (``3/2``), ``^`` powers,
-    explicit ``*`` products and juxtaposition (``x1x2`` is ``x1*x2``).
-    Exact; round-trips with :func:`polynomial_to_str`.
+    Grammar (``var`` is one of ``names``; spaces may stand between tokens)::
+
+        poly   := [sign] term (sign term)*
+        term   := factor (['*'] factor)*
+        factor := int | int '/' int | var ['^' int]
+
+    Juxtaposed factors multiply (``2 3 x1`` is ``6*x1``) and letters split
+    greedily on the names (``x1x2``); any other text raises
+    :class:`MalformedPolynomial`.  Round-trips with :func:`polynomial_to_str`.
     """
     slot = {n: i for i, n in enumerate(names)}
-    nvars = len(names)
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise MalformedPolynomial(f"cannot tokenize {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group("var"):
-            name = m.group("var")
-            # juxtaposed variables: split "x1x2" greedily on known names
-            while name and name not in slot:
-                cut = _split_known_prefix(name, slot)
-                if cut is None:
-                    raise MalformedPolynomial(f"unknown variable {name!r}")
-                tokens.append(("var", cut))
-                name = name[len(cut):]
-            if name:
-                tokens.append(("var", name))
-        elif m.group("int"):
-            tokens.append(("int", int(m.group("int"))))
-        else:
-            tokens.append(("op", m.group("op")))
-
-    result = Polynomial.zero()
-    sign = 1
-    cur_coeff = None
-    cur_mono = None
-    i = 0
-
-    def flush():
-        nonlocal result, cur_coeff, cur_mono, sign
-        if cur_coeff is None and cur_mono is None:
-            return
-        c = sign * (1 if cur_coeff is None else cur_coeff)
-        m = cur_mono if cur_mono is not None else m_one(nvars)
-        result = result + Polynomial.term(c, m)
-        cur_coeff, cur_mono, sign = None, None, 1
-
-    while i < len(tokens):
-        kind, val = tokens[i]
-        if kind == "op" and val in "+-":
-            flush()
-            sign = 1 if val == "+" else -1
-            i += 1
-        elif kind == "int":
-            c = Fraction(val)
-            if i + 2 < len(tokens) and tokens[i + 1] == ("op", "/") \
-                    and tokens[i + 2][0] == "int":
-                if tokens[i + 2][1] == 0:
-                    raise MalformedPolynomial(f"zero denominator in {val}/0")
-                c = Fraction(val, tokens[i + 2][1])
-                i += 2
-            cur_coeff = c if cur_coeff is None else cur_coeff * c
-            i += 1
-        elif kind == "var":
-            power = 1
-            if i + 2 < len(tokens) and tokens[i + 1] == ("op", "^"):
-                nk, nv = tokens[i + 2]
-                if nk != "int":
-                    raise MalformedPolynomial("exponent must be an integer")
-                power = nv
-                i += 2
-            e = [0] * nvars if cur_mono is None else list(cur_mono)
-            e[slot[val]] += power
-            cur_mono = tuple(e)
-            i += 1
-        elif kind == "op" and val == "*":
-            i += 1
-        else:
-            raise MalformedPolynomial(f"unexpected token {val!r}")
-    flush()
+    one = (0,) * len(names)
+    result, term, prev = Polynomial.zero(), Polynomial.term(1, one), "start of text"
+    tokens = _TOKEN.findall(text) + [("", "", "", "", "end of text")]
+    for num, den, word, power, op in tokens:
+        kind = op or "factor"
+        if kind not in _FOLLOWS[prev]:
+            raise MalformedPolynomial(f"unexpected {kind} after {prev} in {text!r}")
+        if num:
+            if den and not int(den):
+                raise MalformedPolynomial(f"zero denominator in {num}/{den}")
+            term = term.scale(Fraction(int(num), int(den or 1)))
+        elif word:
+            slots = _split_names(word, slot)
+            mono = [slots.count(v) for v in range(len(names))]
+            mono[slots[-1]] += int(power or 1) - 1
+            term = term.mul_term(1, tuple(mono))
+        elif kind != "*":
+            if prev == "factor":
+                result = result + term
+            term = Polynomial.term(-1 if kind == "-" else 1, one)
+        prev = kind
     return result
 
 
-def _split_known_prefix(name, slot):
-    for ln in range(len(name) - 1, 0, -1):
-        if name[:ln] in slot:
-            return name[:ln]
-    return None
+def _split_names(word: str, slot: dict[str, int]) -> list[int]:
+    """Slots of the names juxtaposed in ``word``, each the longest that fits."""
+    out = []
+    while word not in slot:
+        cut = max((n for n in range(1, len(word)) if word[:n] in slot), default=0)
+        if not cut:
+            raise MalformedPolynomial(f"unknown variable {word!r}")
+        out.append(slot[word[:cut]])
+        word = word[cut:]
+    return out + [slot[word]]
 
 
 def polynomial_to_str(f: Polynomial, names: list[str] | tuple[str, ...],
@@ -487,9 +447,14 @@ def polynomial_to_str(f: Polynomial, names: list[str] | tuple[str, ...],
     return " ".join(out)
 
 
+def is_variable_name(name) -> bool:
+    """Is ``name`` a string that the grammar reads as one variable?"""
+    return isinstance(name, str) and _NAME.fullmatch(name) is not None
+
+
 def infer_variable_names(text: str) -> list[str]:
     """Collect variable names from raw polynomial text, x-block then y-block."""
-    seen = set(re.findall(r"[a-zA-Z]+\d*", text))
+    seen = set(_NAME.findall(text))
     names = sorted(seen, key=_name_key)
     return names
 

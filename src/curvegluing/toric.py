@@ -7,13 +7,13 @@ then pruning redundant generators, which leaves a minimal presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import semigroup as sg
 from .basis import buchberger, interreduce_global, is_member_global, normal_form_global
 from .errors import SelfCheckFailed
 from .polyalg import (MonomialOrder, Polynomial, degrevlex, elimination,
-                      m_deg, monic)
+                      m_deg)
 
 
 @dataclass(frozen=True)
@@ -28,19 +28,16 @@ class MonomialCurve:
 
     generators: tuple[int, ...]
     names: tuple[str, ...]
+    semigroup: sg.NumericalSemigroup = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if len(self.generators) != len(self.names):
             raise ValueError("one name per generator")
-        S = sg.minimal_generators(list(self.generators))
-        if set(S.generators) != set(self.generators) or \
-                len(self.generators) != len(set(self.generators)):
-            raise ValueError(
-                f"{list(self.generators)} is not a minimal generating set")
-
-    @property
-    def semigroup(self) -> sg.NumericalSemigroup:
-        return sg.NumericalSemigroup(tuple(sorted(self.generators)))
+        # validates once: duplicates, a non-minimal set and gcd != 1 all
+        # raise ValueError here
+        object.__setattr__(self, "semigroup", sg.NumericalSemigroup(
+            tuple(sorted(self.generators))))
 
     @property
     def nvars(self) -> int:
@@ -84,7 +81,7 @@ def defining_ideal(C: MonomialCurve) -> list[Polynomial]:
     pruned = _prune_redundant(eliminated, xorder)
     for g in pruned:
         check_kernel_element(g, C)
-    return [monic(g, xorder) for g in pruned]
+    return pruned  # interreduce_global made every element monic
 
 
 def _prune_redundant(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:

@@ -219,11 +219,29 @@ class TestExitCodes:
         path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
         return run_cli(capsys, "scan", "--config", str(path), *extra)
 
-    @pytest.mark.parametrize("raw", ["(x1+x2)^2", "x1^y", "3/0*x1", "x1 $ x2"])
+    @pytest.mark.parametrize("raw", ["(x1+x2)^2", "x1^y", "3/0*x1", "x1 $ x2",
+                                     "x1 - - x2"])
     def test_malformed_polynomial(self, capsys, raw):
         code, _, err = run_cli(capsys, "ideal", "--raw", raw)
         assert code == 1
         assert "MalformedPolynomial" in err
+
+    @pytest.mark.parametrize("raw,names", [
+        ("x1 + x2", "x1,x2,x2"),    # a repeated name
+        ("x1 + x2", "x1,x2,"),      # an empty name
+        ("x1", "x1,x_2"),           # not one variable in the grammar
+        ("x1", "x1, x2"),
+    ])
+    def test_vars_must_be_distinct_names(self, capsys, raw, names):
+        code, _, err = run_cli(capsys, "ideal", "--raw", raw, "--vars", names)
+        assert code == 1
+        assert "--vars" in err
+
+    @pytest.mark.parametrize("p", ["-", "4*r +"])
+    def test_dangling_operator_in_config(self, capsys, tmp_path, p):
+        code, _, err = self._scan(capsys, tmp_path, {**self.CFG, "p": p})
+        assert code == 1
+        assert "MalformedConfig" in err and "MalformedPolynomial" in err
 
     def test_missing_config_key(self, capsys, tmp_path):
         cfg = {k: v for k, v in self.CFG.items() if k != "range"}

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from curvegluing import semigroup as sg
 from curvegluing.errors import (EmptyRange, GcdViolation, GeneratorCollision,
-                                GluingError, MalformedConfig, NotInSemigroup,
+                                GluingError, MalformedConfig,
+                                MalformedPolynomial, NotInSemigroup,
                                 PIsMinimalGenerator, QIsMinimalGenerator,
                                 SelfCheckFailed, TheoremViolation)
-from curvegluing.gluing import (FamilyTemplate, glued_curve, glued_ideal,
+from curvegluing.gluing import (FamilyTemplate, GluingSpec, glued_curve,
+                                glued_ideal,
                                 parse_linear, report_to_record, scan_family,
                                 scan_instance, validate_gluing,
                                 verify_instance)
@@ -410,6 +413,16 @@ class TestTheoremSuites:
             assert report.factorization_ok
 
 
+def test_glued_curve_rejects_a_non_minimal_glued_set():
+    # q * (2, 3) + p * (1,) = (2, 3, 5), and 5 = 2 + 3 is not minimal
+    s1, s2 = sg.NumericalSemigroup((2, 3)), sg.NumericalSemigroup((1,))
+    spec = GluingSpec(s1, s2, p=5, q=1,
+                      b_witness=sg.Representation((1, 1), 5),
+                      a_witness=sg.Representation((1,), 1), nice=False)
+    with pytest.raises(SelfCheckFailed, match="not a minimal generating set"):
+        glued_curve(spec)
+
+
 class TestLinearExpr:
     @pytest.mark.parametrize("text,value,expect", [
         ("4*r + 3", 2, 11),
@@ -425,6 +438,20 @@ class TestLinearExpr:
     def test_rejects_unknown_symbol(self):
         with pytest.raises(ValueError):
             parse_linear("4*s + 3", "r")
+
+    @pytest.mark.parametrize("text", [
+        "q^2", "3/2*q", "qq",                  # not linear with int coefficients
+        "-", "6*q +", "3-", "6*q - - 7", "",   # dangling or doubled operators
+    ])
+    def test_rejects_text_that_is_not_integer_linear(self, text):
+        with pytest.raises(MalformedPolynomial):
+            parse_linear(text, "q")
+
+    @pytest.mark.parametrize("text", ["q*6 + 7", "6 q + 7", "2*3*q + 7",
+                                      "12/2 q + 7", "7 + 6q", "+6*q + 7"])
+    def test_any_integer_linear_form_of_the_grammar(self, text):
+        expr = parse_linear(text, "q")
+        assert (expr.coeff, expr.const, expr.text) == (6, 7, text)
 
 
 class TestFamilyConfig:
@@ -454,6 +481,18 @@ class TestFamilyConfig:
     def test_not_an_object(self):
         with pytest.raises(MalformedConfig):
             FamilyTemplate.from_config([1, 2])
+
+    @pytest.mark.parametrize("param", ["q_1", "", "r s", "1r"])
+    def test_parameter_must_be_one_variable_name(self, param):
+        with pytest.raises(MalformedConfig, match="parameter"):
+            FamilyTemplate.from_config({**self.BASE, "parameter": param,
+                                        "p": f"4*{param} + 3"})
+
+    @pytest.mark.parametrize("key,value", [
+        ("p", "-"), ("p", "4*r +"), ("q", "3-"), ("q", "r^2")])
+    def test_malformed_expression_names_its_key(self, key, value):
+        with pytest.raises(MalformedConfig, match=f"{key}: "):
+            FamilyTemplate.from_config({**self.BASE, key: value})
 
 
 class TestScan:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from curvegluing.errors import ArityMismatch, ZeroPolynomial
+from curvegluing.errors import ArityMismatch, MalformedPolynomial, ZeroPolynomial
 from curvegluing.polyalg import (Polynomial, degrevlex, ecart, elimination,
                                  exact_quotient, leading_monomial,
                                  leading_term, least_degree_form, m_deg,
@@ -294,6 +294,90 @@ class TestTextualSyntax:
         for c, m in rows:
             f = f + Polynomial.term(c, m)
         assert P(polynomial_to_str(f, NAMES4)) == f
+
+
+@st.composite
+def written_polynomials(draw):
+    """A text in the grammar and the polynomial it denotes over NAMES4.
+
+    The polynomial is built from the drawn factors with ``Polynomial.term``
+    and ``+``, not by any parser, so it is an independent oracle.
+    """
+    pieces, f = [], Polynomial.zero()
+    for k in range(draw(st.integers(1, 4))):
+        negative = draw(st.booleans())
+        if k == 0:
+            signs = ["-", "- ", " -"] if negative else ["", "+", "+ ", " "]
+        else:
+            signs = [" - ", "-", "- "] if negative else [" + ", "+", " +"]
+        pieces.append(draw(st.sampled_from(signs)))
+        coeff, mono = Fraction(-1 if negative else 1), [0] * 4
+        for j in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["int", "int/int", "var", "var^int"]))
+            sp = draw(st.sampled_from(["", " "]))
+            if kind == "int":
+                n = draw(st.integers(0, 30))
+                text, coeff = str(n), coeff * n
+            elif kind == "int/int":
+                a, b = draw(st.integers(0, 30)), draw(st.integers(1, 9))
+                text, coeff = f"{a}{sp}/{sp}{b}", coeff * Fraction(a, b)
+            else:
+                v = draw(st.integers(0, 3))
+                e = draw(st.integers(0, 6)) if kind == "var^int" else 1
+                text = NAMES4[v] + (f"{sp}^{sp}{e}" if kind == "var^int" else "")
+                mono[v] += e
+            if j:
+                # bare juxtaposition only before a name, where tokens cannot merge
+                joins = ["*", " * ", " *", "* ", " "] + [""] * text[0].isalpha()
+                pieces.append(draw(st.sampled_from(joins)))
+            pieces.append(text)
+        f = f + Polynomial.term(coeff, tuple(mono))
+    return "".join(pieces), f
+
+
+class TestGrammar:
+    @given(written_polynomials())
+    def test_valid_text_denotes_its_polynomial(self, written):
+        text, f = written
+        assert P(text) == f
+
+    @pytest.mark.parametrize("text", [
+        "2 3 x1", "2*3*x1", "6x1", "x1 6", "3 / 9 * 18 x1", "6 x1 x2^0",
+    ])
+    def test_juxtaposed_factors_multiply(self, text):
+        assert P(text) == P("6*x1")
+
+    def test_names_split_greedily(self):
+        names = ("a", "b", "ab")
+        a, b, ab = (Polynomial.variable(i, 3) for i in range(3))
+        assert parse_polynomial("ab", names) == ab
+        assert parse_polynomial("aab^2", names) == a * ab * ab
+        assert parse_polynomial("ba", names) == b * a
+
+    def test_zero_and_constant_terms(self):
+        assert P("0").is_zero() and P("x1 - x1").is_zero()
+        assert P("x1^0") == P("1") == Polynomial.term(1, (0, 0, 0, 0))
+
+    # each case parsed without error before the grammar was made strict
+    @pytest.mark.parametrize("text", [
+        "", "   ",                              # empty or blank
+        "x1 +", "-", "3-", "x1^2 - ",           # a sign with no term after it
+        "x1 - - x2", "++x1", "x1 + -3",         # two signs in a row
+        "x1*", "*x1", "x1 * * x2", "2*-x1",     # a '*' not between factors
+        "x1 + * x2",
+    ])
+    def test_dangling_operators_rejected(self, text):
+        with pytest.raises(MalformedPolynomial):
+            P(text)
+
+    @pytest.mark.parametrize("text", [
+        "x1 + z9", "x12",           # no split into known names
+        "x1^", "x1^-2", "2^3",      # no integer exponent on a variable
+        "3/x1",                     # no integer denominator
+    ])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(MalformedPolynomial):
+            P(text)
 
 
 class TestMinimalIndices:

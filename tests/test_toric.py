@@ -134,6 +134,17 @@ class TestMonomialCurve:
         with pytest.raises(ValueError):
             MonomialCurve((2, 3, 4), ("x1", "x2", "x3"))
 
+    @pytest.mark.parametrize("gens", [(3, 5, 3), (4, 6), ()])
+    def test_rejects_duplicates_gcd_and_empty(self, gens):
+        with pytest.raises(ValueError):
+            MonomialCurve(gens, tuple(f"x{i + 1}" for i in range(len(gens))))
+
+    def test_semigroup_is_built_once(self):
+        C = MonomialCurve((7, 3, 5), ("x1", "x2", "x3"))
+        assert C.semigroup is C.semigroup
+        assert C.semigroup.generators == (3, 5, 7)
+        assert C == MonomialCurve((7, 3, 5), ("x1", "x2", "x3"))
+
     def test_curve_sorts_and_minimalizes(self):
         C = curve([12, 5])
         assert C.generators == (5, 12)
