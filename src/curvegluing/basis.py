@@ -130,6 +130,20 @@ def _nf_mora(f: Polynomial, red: _Reducers, return_unit: bool = False):
     tail_units: list[Polynomial] = []
     one = Polynomial.term(1, (0,) * order.nvars)
 
+    # A reducer c*m*v, with m its LM and v = 1 + (multiples of other
+    # monomials), generates the same local ideal as c*m; reduce by c*m, which
+    # has ecart 0.  Mora's loop can otherwise run for minutes on such a
+    # reducer.  `scale`, the product of the v, turns the result back into a
+    # relation among the basis polynomials themselves.
+    scale = one
+    for i in range(n_fixed):
+        g, m, c = red.polys[i], red.lms[i], red.lcs[i]
+        if len(g.terms) > 1 and all(m_divides(m, t) for t in g.terms):
+            scale = scale * Polynomial({m_div(t, m): exact_quotient(a, c)
+                                        for t, a in g.terms.items()})
+            red.polys[i] = Polynomial.term(c, m)
+            red.degs[i] = m_deg(m)
+
     h = f
     u = one
     while h.terms:
@@ -153,6 +167,8 @@ def _nf_mora(f: Polynomial, red: _Reducers, return_unit: bool = False):
         h = h - red.polys[best].mul_term(t_coeff, t_mono)
         if best >= n_fixed:
             u = u - tail_units[best - n_fixed].mul_term(t_coeff, t_mono)
+    if scale is not one:
+        h, u = h * scale, u * scale
     if return_unit:
         return h, u
     return h

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvegluing.basis import (buchberger, interreduce_global, leading_ideal,
-                               mora_weak_nf, normal_form_global,
-                               standard_basis)
+from curvegluing.basis import (buchberger, interreduce_global,
+                               is_member_global, leading_ideal, mora_weak_nf,
+                               normal_form_global, standard_basis)
 from curvegluing.errors import NonGlobalOrder, NonLocalOrder
 from curvegluing.polyalg import (Polynomial, degrevlex, elimination,
                                  leading_monomial, m_coprime, m_divides,
@@ -246,6 +246,41 @@ class TestExactReduction:
     def test_mora_normal_form_is_exact(self, f, basis):
         r, u = mora_weak_nf(f, basis, negdegrevlex(3), return_unit=True)
         assert exactly_represented(r) and exactly_represented(u)
+
+
+class TestMonomialTimesUnitReducer:
+    """A reducer c*m*(1 + ...) is reduced by as c*m, its local equivalent.
+
+    Each case ran for seconds to minutes before: the reducers x1*(unit),
+    x2*(unit) and the unit itself have a large ecart.
+    """
+
+    @pytest.mark.parametrize("f, basis", [
+        ("2*x1*x2^2*x3^2 + x1^2*x2 - x1^2*x2*x3",
+         ["-x1 + 4*x1^2*x2^2*x3^2", "5*x2*x3^2 + 5/2*x2^2*x3 - 3/2*x1*x3^2"]),
+        ("4*x2^2*x3 - 2*x1^2*x2*x3^2",
+         ["5*x1*x2^2*x3^2 - 4*x1^2 - 3/2*x1^2*x3^2",
+          "-4/3*x2 + x1*x2^2*x3^2 + 4/3*x1^2*x2"]),
+        ("-5/2*x2^2 - 1/2*x2^2*x3 + 4/3*x1*x2^2*x3^2",
+         ["-2/3 - 5/3*x1^2*x2*x3^2 - 2*x1^2*x2^2",
+          "4/3*x2*x3 - 1/2*x1*x2^2 - 1/3*x1^2*x2*x3^2"]),
+    ], ids=["x1_times_unit", "x2_times_unit", "unit"])
+    def test_local_member_reduces_to_zero(self, f, basis):
+        f, basis = P3(f), [P3(g) for g in basis]
+        r, u = mora_weak_nf(f, basis, negdegrevlex(3), return_unit=True)
+        assert r.is_zero()
+        assert u.terms.get((0, 0, 0)) == 1
+        assert is_member_global(u * f, basis, degrevlex(3))
+
+    def test_relation_holds_among_the_polynomials(self):
+        # x1 - x1^2*x2 = x1*(1 - x1*x2): the remainder of x1 + x2 is x2 times
+        # that unit, so that u*f - r is a multiple of the reducer itself
+        order = negdegrevlex(3)
+        f, g = P3("x1 + x2"), P3("x1 - x1^2*x2")
+        r, u = mora_weak_nf(f, [g], order, return_unit=True)
+        assert r == P3("x2 - x1*x2^2")
+        assert u.terms.get((0, 0, 0)) == 1
+        assert is_member_global(u * f - r, [g], degrevlex(3))
 
 
 @pytest.fixture(scope="module")
