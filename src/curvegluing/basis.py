@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import le
 
 from .errors import NonGlobalOrder, NonLocalOrder
 from .polyalg import (Coeff, Mono, MonomialOrder, Polynomial, exact_quotient,
@@ -225,13 +226,14 @@ def _chain_redundant(i, j, lms):
     the module spanned by syzygies with strictly smaller lcm, so induction on
     the lcm needs no bookkeeping about which pairs were already treated.
     """
-    lij = m_lcm(lms[i], lms[j])
-    for k in range(len(lms)):
-        if k == i or k == j:
-            continue
-        if m_divides(lms[k], lij):
-            if m_lcm(lms[i], lms[k]) != lij and m_lcm(lms[j], lms[k]) != lij:
-                return True
+    li, lj = lms[i], lms[j]
+    lij = m_lcm(li, lj)
+    for k, lk in enumerate(lms):
+        # all(map(le, ...)) is m_divides without the call: this loop runs
+        # once per pair and basis element
+        if k != i and k != j and all(map(le, lk, lij)) \
+                and m_lcm(li, lk) != lij and m_lcm(lj, lk) != lij:
+            return True
     return False
 
 

@@ -16,8 +16,8 @@ import sys
 from . import gluing as gl
 from . import semigroup as sg
 from .basis import buchberger, standard_basis
-from .errors import (DomainError, MalformedConfig, SelfCheckFailed,
-                     TheoremViolation)
+from .errors import (DomainError, MalformedConfig, MalformedPolynomial,
+                     SelfCheckFailed, TheoremViolation)
 from .hilbert import local_hilbert_function
 from .polyalg import (degrevlex, infer_variable_names, is_variable_name,
                       negdegrevlex, parse_polynomial, polynomial_to_str)
@@ -223,7 +223,11 @@ def cmd_ideal(args) -> dict:
 
 
 def _raw_basis(args) -> dict:
-    texts = [t.strip() for t in args.raw.split(";") if t.strip()]
+    texts = [t.strip() for t in args.raw.split(";")]
+    for i, text in enumerate(texts):
+        if not text:
+            raise MalformedPolynomial(
+                f"--raw piece {i + 1} of {len(texts)} is empty in {args.raw!r}")
     names = tuple(args.vars.split(",")) if args.vars else \
         tuple(infer_variable_names(args.raw))
     if len(set(names)) != len(names) or \

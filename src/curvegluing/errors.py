@@ -52,6 +52,12 @@ class NonLocalOrder(DomainError):
     code = "NonLocalOrder"
 
 
+# -------------------------------------------------------------------- toric
+
+class NonHomogeneousBinomial(DomainError):
+    code = "NonHomogeneousBinomial"
+
+
 # ------------------------------------------------------------------ hilbert
 
 class DimensionMismatch(DomainError):

@@ -54,7 +54,8 @@ def m_lcm(a: Mono, b: Mono) -> Mono:
 
 
 def m_coprime(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    # exponents are non-negative: a product is nonzero iff both are
+    return not any(map(operator.mul, a, b))
 
 
 def minimal_indices(monos) -> list[int]:

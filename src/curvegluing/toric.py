@@ -1,19 +1,46 @@
 """Defining ideals of monomial curves and complete-intersection detection.
 
-The curve t -> (t^n1, ..., t^nk) has a binomial prime kernel; we compute it
-by adjoining one parameter variable and eliminating it with a Groebner basis,
-then pruning redundant generators, which leaves a minimal presentation.
+The curve t -> (t^n1, ..., t^nk) has a binomial prime kernel.  It is computed
+by adjoining the parameter t, completing <x_i - t^{n_i}> to a Groebner basis
+under a block order that eliminates t, keeping the t-free part,
+interreducing it and pruning redundant generators, which leaves a minimal
+presentation.
+
+Every polynomial on that path is a pure difference binomial x^a - x^b, so
+it runs on exponent pairs ``(lead, trail)`` and builds a ``Polynomial`` only
+for each returned generator.  The result is the list that
+``basis.buchberger``, ``basis.interreduce_global`` and ``is_member_global``
+give on the same input, in the same order, for two reasons:
+
+- Reduction.  Dividing x^a - x^b reduces its leading term, which is
+  whichever of the two terms is larger, so the remainder is
+  NF(x^a) - NF(x^b), reached by reducing the larger term until the two meet
+  (remainder 0) or the larger is irreducible.  The pair heap, both
+  criteria and the first-divisor reducer choice are those of
+  ``basis._complete``, so the same elements arise in the same order.
+- Membership.  x^a - x^b lies in the ideal of pure difference binomials
+  x^u - x^v, (u, v) in B, iff a and b are connected by B-moves
+  c -> c - u + v (Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 5;
+  Diaconis & Sturmfels 1998).  Every kernel element is homogeneous for the
+  semigroup grading deg x_i = n_i > 0, so each fiber is finite, and a
+  search of the fiber of a decides what ``is_member_global`` decides: the
+  pruner keeps the same generators.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from operator import add, le, mul, sub
 
 from . import semigroup as sg
-from .basis import buchberger, interreduce_global, is_member_global, normal_form_global
-from .errors import SelfCheckFailed
-from .polyalg import (MonomialOrder, Polynomial, degrevlex, elimination,
-                      m_deg)
+from .basis import (_chain_redundant, buchberger, is_member_global,
+                    normal_form_global)
+from .errors import ArityMismatch, NonHomogeneousBinomial, SelfCheckFailed
+from .polyalg import (Mono, Polynomial, degrevlex, elimination, m_coprime,
+                      m_deg, m_lcm, minimal_indices)
+
+Binomial = tuple[Mono, Mono]  # (lead, trail): the monic x^lead - x^trail
 
 
 @dataclass(frozen=True)
@@ -60,38 +87,168 @@ def defining_ideal(C: MonomialCurve) -> list[Polynomial]:
     grading before being returned.
     """
     k = C.nvars
-    nvars = k + 1  # slot 0 is the parameter
-    gens = []
+    gens = []  # t^{n_i} - x_i; slot 0 is the parameter
     for i, n in enumerate(C.generators):
-        t_pow = Polynomial.variable(0, nvars, n)
-        xi = Polynomial.variable(i + 1, nvars)
-        gens.append(xi - t_pow)
-    order = elimination(nvars, {0})
+        x = [0] * (k + 1)
+        x[i + 1] = 1
+        gens.append(((n,) + (0,) * k, tuple(x)))
+    key = elimination(k + 1, {0}).key
     # interreducing first keeps the parameter degrees small: each x_i - t^n_i
     # rewrites against the smaller exponents before any pairs are formed
-    gens = interreduce_global(gens, order)
-    gb = buchberger(gens, order)
-
-    eliminated = []
-    for g in gb.elements:
-        if all(m[0] == 0 for m in g.terms):
-            eliminated.append(Polynomial({m[1:]: c for m, c in g.terms.items()}))
-    xorder = degrevlex(k)
-    eliminated = interreduce_global(eliminated, xorder)
-    pruned = _prune_redundant(eliminated, xorder)
+    gens = _interreduce_binomials(gens, key)
+    eliminated = [(lead[1:], trail[1:])
+                  for lead, trail in _complete_binomials(gens, key)
+                  if lead[0] == 0 and trail[0] == 0]
+    # on parameter-free monomials the block order is degrevlex(k), so every
+    # pair keeps its orientation
+    eliminated = _interreduce_binomials(eliminated, degrevlex(k).key)
+    # a binomial's two terms are its two exponents, which is all a fiber
+    # search needs
+    pruned = _prune_redundant(
+        [Polynomial({lead: 1, trail: -1}, _clean=False)
+         for lead, trail in eliminated],
+        lambda g, rest: fiber_connected(*g.terms, [tuple(h.terms) for h in rest],
+                                        C.generators))
     for g in pruned:
         check_kernel_element(g, C)
-    return pruned  # interreduce_global made every element monic
+    return pruned
 
 
-def _prune_redundant(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Greedily drop members of the ideal of the remaining generators."""
+def _binomial_nf(a: Mono, b: Mono, reducers: list[Binomial],
+                 key) -> Binomial | None:
+    """Remainder of x^a - x^b by ``reducers``: oriented, or None for zero.
+
+    The larger term is reduced by the first reducer whose lead divides it
+    until the two terms meet or the larger one is irreducible; the smaller
+    one is then reduced to the end.  That is ``basis._nf_global`` step for
+    step, which always reduces the leading term.
+    """
+    ka, kb = key(a), key(b)
+    while a != b:
+        if ka < kb:
+            a, b, ka, kb = b, a, kb, ka
+        for lead, trail in reducers:
+            if all(map(le, lead, a)):
+                a = tuple(map(add, map(sub, a, lead), trail))
+                ka = key(a)
+                break
+        else:
+            return a, _monomial_nf(b, reducers)
+    return None
+
+
+def _monomial_nf(b: Mono, reducers: list[Binomial]) -> Mono:
+    """Rewrite x^b by the first reducer whose lead divides it, to the end."""
+    while True:
+        for lead, trail in reducers:
+            if all(map(le, lead, b)):
+                b = tuple(map(add, map(sub, b, lead), trail))
+                break
+        else:
+            return b
+
+
+def _interreduce_binomials(gens: list[Binomial], key) -> list[Binomial]:
+    """``basis.interreduce_global`` on monic binomials, sweep for sweep."""
+    elems = list(gens)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(elems)):
+            r = _binomial_nf(*elems[i], elems[:i] + elems[i + 1:], key)
+            if r is None:
+                elems.pop(i)
+                changed = True
+                break
+            if r != elems[i]:
+                elems[i] = r
+                changed = True
+    return elems
+
+
+def _complete_binomials(gens: list[Binomial], key) -> list[Binomial]:
+    """``basis.buchberger`` on monic binomials: a minimal Groebner basis.
+
+    The same ``(lcm degree, i, j)`` pair heap, product and chain criteria,
+    reducer choice and minimalization as ``basis._complete``.
+    """
+    polys: list[Binomial] = []
+    lms: list[Mono] = []
+    pairs: list[tuple[int, int, int]] = []
+
+    def add_element(g):
+        polys.append(g)
+        lms.append(g[0])
+        j = len(lms) - 1
+        for i in range(j):
+            heapq.heappush(pairs, (m_deg(m_lcm(lms[i], g[0])), i, j))
+
+    for g in gens:
+        add_element(g)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        if m_coprime(lms[i], lms[j]) or _chain_redundant(i, j, lms):
+            continue
+        (li, ti), (lj, tj) = polys[i], polys[j]
+        lcm = m_lcm(li, lj)
+        # S(g_i, g_j) = x^(lcm - lj + tj) - x^(lcm - li + ti)
+        r = _binomial_nf(tuple(map(add, map(sub, lcm, lj), tj)),
+                         tuple(map(add, map(sub, lcm, li), ti)), polys, key)
+        if r is not None:
+            add_element(r)
+    return [polys[i] for i in minimal_indices(lms)]
+
+
+def fiber_connected(a: Mono, b: Mono, moves: list[Binomial],
+                    weights: tuple[int, ...]) -> bool:
+    """Is x^a - x^b in the ideal of the binomials x^u - x^v, (u, v) in moves?
+
+    It is iff a reaches b by steps c -> c - u + v or c - v + u that keep c
+    non-negative.  The search is finite because every step stays in the
+    fiber of a, the exponents of one weighted degree, when the weights are
+    positive and every binomial is homogeneous for them; otherwise
+    :class:`NonHomogeneousBinomial` is raised before any step.
+    """
+    def degree(m):
+        if len(m) != len(weights):
+            raise ArityMismatch(f"exponent {m} against {len(weights)} weights")
+        return sum(map(mul, m, weights))
+
+    if min(weights, default=0) <= 0:
+        raise NonHomogeneousBinomial(f"weights {weights} are not all positive")
+    for u, v in [(a, b), *moves]:
+        if degree(u) != degree(v):
+            raise NonHomogeneousBinomial(
+                f"x^{u} - x^{v} is not homogeneous for weights {weights}")
+    steps = [(u, v) for u, v in moves if u != v]
+    steps += [(v, u) for u, v in steps]
+    seen = {a}
+    stack = [a]
+    while stack:
+        c = stack.pop()
+        if c == b:
+            return True
+        for u, v in steps:
+            if all(map(le, u, c)):
+                d = tuple(map(add, map(sub, c, u), v))
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+    return False
+
+
+def _prune_redundant(gens: list, is_member) -> list:
+    """Greedily drop generators that ``is_member(g, rest)`` finds redundant.
+
+    Generators are sorted by their sorted term degrees and tried from the
+    last; each one tested against the others still kept.
+    """
     kept = sorted(gens, key=lambda g: sorted(map(m_deg, g.terms)))
     i = len(kept) - 1
     while i >= 0 and len(kept) > 1:
         candidate = kept[i]
         rest = kept[:i] + kept[i + 1:]
-        if is_member_global(candidate, rest, order):
+        if is_member(candidate, rest):
             kept = rest
         i -= 1
     return kept
@@ -123,8 +280,10 @@ def minimal_generator_count(gens: list[Polynomial], nvars: int) -> int:
     so the one greedy pass of ``_prune_redundant`` gives the count: each
     element it keeps was tested against a superset of the final rest.
     """
+    order = degrevlex(nvars)
     return len(_prune_redundant([g for g in gens if not g.is_zero()],
-                                degrevlex(nvars)))
+                                lambda g, rest: is_member_global(g, rest,
+                                                                 order)))
 
 
 def is_complete_intersection(C: MonomialCurve) -> bool:

@@ -226,6 +226,15 @@ class TestExitCodes:
         assert code == 1
         assert "MalformedPolynomial" in err
 
+    @pytest.mark.parametrize("raw,piece", [(";", "piece 1 of 2"),
+                                           ("x1 - x2;;", "piece 2 of 3"),
+                                           ("; x1", "piece 1 of 2")])
+    def test_empty_raw_piece(self, capsys, raw, piece):
+        code, out, err = run_cli(capsys, "ideal", "--raw", raw)
+        assert code == 1
+        assert "MalformedPolynomial" in err and piece in err
+        assert out == ""
+
     @pytest.mark.parametrize("raw,names", [
         ("x1 + x2", "x1,x2,x2"),    # a repeated name
         ("x1 + x2", "x1,x2,"),      # an empty name

@@ -367,25 +367,22 @@ class TestPresentationSize:
         assert not self._check(validate_gluing(s1, s2, p, q))
 
     def test_no_membership_test_in_the_glued_ring(self, monkeypatch):
-        import curvegluing.basis as basis
         import curvegluing.toric as toric
 
-        arities = []
+        arities = []  # ring variables of every input generator
 
-        def spying(real):
-            def spy(*args, **kwargs):
-                polys = args[0] if isinstance(args[0], list) else [args[0]]
-                arities.extend(len(next(iter(g.terms))) for g in polys
-                               if not g.is_zero())
-                return real(*args, **kwargs)
+        def spying(real, arity):
+            def spy(gens, *args, **kwargs):
+                arities.extend(map(arity, gens))
+                return real(gens, *args, **kwargs)
             return spy
 
-        for module, name in ((toric, "_prune_redundant"),
-                             (toric, "is_member_global"),
-                             (basis, "is_member_global"),
-                             (toric, "buchberger"),
-                             (basis, "buchberger")):
-            monkeypatch.setattr(module, name, spying(getattr(module, name)))
+        # the completion runs on (lead, trail) pairs with the parameter t in
+        # slot 0; the pruner on polynomials
+        monkeypatch.setattr(toric, "_complete_binomials", spying(
+            toric._complete_binomials, lambda g: len(g[0]) - 1))
+        monkeypatch.setattr(toric, "_prune_redundant", spying(
+            toric._prune_redundant, lambda g: len(next(iter(g.terms)))))
         spec = validate_gluing([5, 12], [7, 8], 17, 21)
         report = verify_instance(spec, cross_check_ideal=True)
         assert report.ideal_cross_check is True

@@ -1,15 +1,22 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from operator import add, mul, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from family_samples import random_nice_gluing, random_semigroup
 
-from curvegluing.basis import buchberger, is_member_global
+from curvegluing.basis import buchberger, interreduce_global, is_member_global
+from curvegluing.errors import ArityMismatch, NonHomogeneousBinomial
+from curvegluing import toric
 from curvegluing.gluing import glued_ideal
-from curvegluing.polyalg import degrevlex, m_divides, parse_polynomial
+from curvegluing.polyalg import (Polynomial, degrevlex, elimination,
+                                 m_deg, m_divides, parse_polynomial,
+                                 polynomial_to_str)
 from curvegluing.toric import (MonomialCurve, curve, defining_ideal,
-                               ideals_equal, is_complete_intersection,
+                               fiber_connected, ideals_equal,
+                               is_complete_intersection,
                                minimal_generator_count)
 
 
@@ -69,6 +76,161 @@ class TestDefiningIdeal:
         # computed side: dim of degree-<=D piece = monomials - standard ones
         # oracle side:   monomials - attained semigroup values
         assert n_monos - n_std == n_monos - len(values)
+
+
+def _eliminate_and_prune(C):
+    """The Polynomial path that ``defining_ideal`` replaces: eliminate t from
+    <x_i - t^{n_i}> with ``buchberger``, keep the t-free part, interreduce,
+    and prune greedily with one ``is_member_global`` per candidate."""
+    k = C.nvars
+    gens = [Polynomial.variable(i + 1, k + 1) - Polynomial.variable(0, k + 1, n)
+            for i, n in enumerate(C.generators)]
+    order = elimination(k + 1, {0})
+    gb = buchberger(interreduce_global(gens, order), order)
+    eliminated = [Polynomial({m[1:]: c for m, c in g.terms.items()})
+                  for g in gb.elements if all(m[0] == 0 for m in g.terms)]
+    xorder = degrevlex(k)
+    kept = sorted(interreduce_global(eliminated, xorder),
+                  key=lambda g: sorted(map(m_deg, g.terms)))
+    i = len(kept) - 1
+    while i >= 0 and len(kept) > 1:
+        rest = kept[:i] + kept[i + 1:]
+        if is_member_global(kept[i], rest, xorder):
+            kept = rest
+        i -= 1
+    return kept
+
+
+def _listing(gens, names):
+    """Each generator's terms in insertion order, and its printed form."""
+    return [(list(g.terms.items()), polynomial_to_str(g, names)) for g in gens]
+
+
+class TestAgainstPolynomialElimination:
+    """``defining_ideal`` lists exactly what the Polynomial path lists."""
+
+    @pytest.mark.parametrize("gens", [(6, 7, 15), (5, 12), (2, 3), (4, 5)])
+    def test_paper_curves(self, gens):
+        C = curve(gens)
+        assert _listing(defining_ideal(C), C.names) == \
+            _listing(_eliminate_and_prune(C), C.names)
+
+    def test_random_curves(self):
+        rng = random.Random(89)
+        for i in range(48):
+            S = random_semigroup(rng, 2 + i % 4, max_gen=19)
+            C = MonomialCurve(S.generators,
+                              tuple(f"y{j + 1}" for j in range(len(S.generators))))
+            assert _listing(defining_ideal(C), C.names) == \
+                _listing(_eliminate_and_prune(C), C.names)
+
+
+@st.composite
+def binomial_lists(draw):
+    """Monic binomials (lead, trail) under degrevlex, repeats allowed."""
+    n = draw(st.integers(2, 4))
+    order = degrevlex(n)
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    pool = draw(st.lists(st.tuples(exps, exps).filter(lambda p: p[0] != p[1]),
+                         min_size=1, max_size=4))
+    bins = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    return order, [tuple(sorted(p, key=order.key, reverse=True)) for p in bins]
+
+
+class TestBinomialKernel:
+    """The exponent-pair completion and interreduction list what
+    ``buchberger`` and ``interreduce_global`` list, term order included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(binomial_lists())
+    def test_matches_the_polynomial_algorithms(self, drawn):
+        order, bins = drawn
+        polys = [Polynomial({lead: 1, trail: -1}) for lead, trail in bins]
+
+        def listing(pairs):
+            return [[(lead, 1), (trail, -1)] for lead, trail in pairs]
+
+        assert listing(toric._interreduce_binomials(bins, order.key)) == \
+            [list(g.terms.items()) for g in interreduce_global(polys, order)]
+        assert listing(toric._complete_binomials(bins, order.key)) == \
+            [list(g.terms.items()) for g in buchberger(polys, order).elements]
+
+
+@st.composite
+def homogeneous_moves(draw):
+    """Positive weights, pure difference binomials homogeneous for them, and
+    a query pair: a walk of moves (a member) or two exponents of one degree
+    (either)."""
+    n = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+
+    def fiber(d):
+        return [m for m in product(range(d + 1), repeat=n)
+                if sum(map(mul, m, weights)) == d]
+
+    moves = []
+    for d in draw(st.lists(st.integers(2, 9), min_size=1, max_size=4)):
+        exps = fiber(d)
+        if len(exps) > 1:
+            moves.append(tuple(draw(st.lists(st.sampled_from(exps), min_size=2,
+                                             max_size=2, unique=True))))
+    if not moves:
+        moves.append(((weights[1],) + (0,) * (n - 1),
+                      (0, weights[0]) + (0,) * (n - 2)))
+    if draw(st.booleans()):
+        u, v = draw(st.sampled_from(moves))
+        shift = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        a = b = tuple(map(add, u, shift))
+        seen = {a}
+        for _ in range(draw(st.integers(1, 4))):
+            ahead = [tuple(map(add, map(sub, b, p), q))
+                     for p, q in moves + [m[::-1] for m in moves]
+                     if all(map(int.__le__, p, b))]
+            ahead = [c for c in ahead if c not in seen]
+            if not ahead:
+                break
+            b = draw(st.sampled_from(ahead))
+            seen.add(b)
+    else:
+        c = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        exps = fiber(sum(map(mul, c, weights)))
+        a, b = draw(st.lists(st.sampled_from(exps), min_size=2, max_size=2,
+                             unique=len(exps) > 1))
+    return weights, moves, a, b
+
+
+class TestFiberConnectivity:
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous_moves())
+    def test_matches_ideal_membership(self, drawn):
+        weights, moves, a, b = drawn
+        order = degrevlex(len(weights))
+        polys = [Polynomial({u: 1, v: -1}) for u, v in moves]
+        query = Polynomial.term(1, a) - Polynomial.term(1, b)  # 0 if a == b
+        assert fiber_connected(a, b, moves, weights) == \
+            is_member_global(query, polys, order)
+
+    def test_members_and_non_members(self):
+        # x1^2 - x2 and x2^2 - x3 under weights (1, 2, 4)
+        moves = [((2, 0, 0), (0, 1, 0)), ((0, 2, 0), (0, 0, 1))]
+        w = (1, 2, 4)
+        assert fiber_connected((4, 0, 0), (0, 0, 1), moves, w)
+        assert fiber_connected((1, 0, 1), (1, 2, 0), moves, w)
+        assert not fiber_connected((0, 0, 1), (2, 1, 0), moves[:1], w)
+        assert fiber_connected((1, 0, 0), (1, 0, 0), [], w)
+
+    @pytest.mark.parametrize("a,b,moves,weights", [
+        ((1, 0), (0, 1), [], (1, 2)),                 # the pair
+        ((1, 0), (0, 1), [((1, 0), (2, 0))], (1, 1)),  # a move: x1 -> x1^2 ...
+        ((1, 0), (0, 1), [((1, 0), (0, 1))], (1, 0)),  # a zero weight
+    ])
+    def test_refuses_what_could_search_forever(self, a, b, moves, weights):
+        with pytest.raises(NonHomogeneousBinomial):
+            fiber_connected(a, b, moves, weights)
+
+    def test_refuses_an_arity_mismatch(self):
+        with pytest.raises(ArityMismatch):
+            fiber_connected((1, 0), (0, 1), [], (1,))
 
 
 class TestMinimalGeneratorCount:
