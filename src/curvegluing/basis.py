@@ -4,17 +4,21 @@ Both run the same pair loop; the difference is the reducer.  Global orders
 use the ordinary division algorithm with full tail reduction; local orders
 use Mora's weak normal form with the ecart-controlled reductor set, and tails
 are never reduced (full reduction need not terminate in a local ring).
+
+These algorithms take any polynomials and serve ``ideal --raw`` and the
+tests.  The ideals of monomial curves run the same loop on exponent pairs
+(``toric._complete_binomials``), which shares this module's pair criteria.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import le
+from operator import mul
 
 from .errors import NonGlobalOrder, NonLocalOrder
 from .polyalg import (Coeff, Mono, MonomialOrder, Polynomial, exact_quotient,
-                      leading_term, m_coprime, m_deg, m_div, m_divides, m_lcm,
+                      leading_term, m_deg, m_div, m_divides,
                       minimal_indices, monic, spoly)
 
 
@@ -190,25 +194,20 @@ def standard_basis(gens: list[Polynomial], order: MonomialOrder,
 
 def _complete(gens, order, local, use_chain_criterion):
     red = _Reducers(order)
+    leads = _LeadIndex()
     pairs: list[tuple[int, int, int]] = []  # heap of (lcm degree, i, j)
 
     def add_element(g):
         red.add(g)
-        j = len(red) - 1
-        lj = red.lms[j]
-        for i in range(j):
-            heapq.heappush(pairs, (m_deg(m_lcm(red.lms[i], lj)), i, j))
+        leads.push_pairs(red.lms[-1], pairs)
 
     for g in gens:
         if not g.is_zero():
             add_element(monic(g, order))
 
-    lms = red.lms
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        if m_coprime(lms[i], lms[j]):
-            continue  # product criterion
-        if use_chain_criterion and _chain_redundant(i, j, lms):
+        if use_chain_criterion and leads.chain_redundant(i, j):
             continue
         s = spoly(red.polys[i], red.polys[j], order)
         r = _nf_mora(s, red) if local else _nf_global(s, red)
@@ -218,23 +217,90 @@ def _complete(gens, order, local, use_chain_criterion):
     return _minimalize_basis(red.polys, red.lms, order)
 
 
-def _chain_redundant(i, j, lms):
-    """Sound standalone chain criterion.
+class _LeadIndex:
+    """The leading monomials of a completion, indexed for its two criteria.
 
-    Skip (i, j) when some LM(k) divides lcm(i, j) while both lcm(i, k) and
-    lcm(j, k) are strict divisors of lcm(i, j): the (i, j) syzygy then lies in
-    the module spanned by syzygies with strictly smaller lcm, so induction on
-    the lcm needs no bookkeeping about which pairs were already treated.
+    Per variable, ``tables[v]`` maps each exponent e of v among the leading
+    monomials to two bitsets of elements: those whose exponent of v is at
+    most e, and those whose exponent is below e.  The elements under a bound
+    in every variable are then one AND of bitsets.  The first chain test
+    builds the index; most local completions never make one.
     """
-    li, lj = lms[i], lms[j]
-    lij = m_lcm(li, lj)
-    for k, lk in enumerate(lms):
-        # all(map(le, ...)) is m_divides without the call: this loop runs
-        # once per pair and basis element
-        if k != i and k != j and all(map(le, lk, lij)) \
-                and m_lcm(li, lk) != lij and m_lcm(lj, lk) != lij:
-            return True
-    return False
+
+    __slots__ = ("lms", "tables", "indexed")
+
+    def __init__(self):
+        self.lms: list[Mono] = []
+        self.tables: list[dict[int, list[int]]] = []
+        self.indexed = 0  # elements already in the tables
+
+    def push_pairs(self, lm: Mono, pairs: list):
+        """Append ``lm`` and push its pairs with every earlier element.
+
+        A pair with coprime leading monomials is never pushed (product
+        criterion); the pairs are popped by (lcm degree, i, j), and these
+        keys are distinct, so which pairs run and in what order does not
+        depend on how the heap is filled.
+        """
+        j = len(self.lms)
+        for i, li in enumerate(self.lms):
+            if any(map(mul, li, lm)):
+                heapq.heappush(pairs, (sum(map(max, li, lm)), i, j))
+        self.lms.append(lm)
+
+    def _index(self):
+        if not self.tables:
+            self.tables = [{} for _ in self.lms[0]]
+        for k in range(self.indexed, len(self.lms)):
+            bit = 1 << k
+            for table, e in zip(self.tables, self.lms[k]):
+                if e not in table:
+                    # the bitsets are cumulative: those of the exponents
+                    # below e together are the elements below e
+                    below = 0
+                    for f, (at_most, _) in table.items():
+                        if f < e:
+                            below |= at_most
+                    table[e] = [below, below]
+                for f, masks in table.items():
+                    if f >= e:
+                        masks[0] |= bit
+                        if f > e:
+                            masks[1] |= bit
+        self.indexed = len(self.lms)
+
+    def chain_redundant(self, i: int, j: int) -> bool:
+        """Sound standalone chain criterion.
+
+        Skip (i, j) when some LM(k) divides lcm(i, j) while both lcm(i, k)
+        and lcm(j, k) are strict divisors of lcm(i, j): the (i, j) syzygy
+        then lies in the module spanned by syzygies with strictly smaller
+        lcm, so induction on the lcm needs no bookkeeping about which pairs
+        were already treated.
+
+        Given LM(k) | lcm(i, j), lcm(i, k) is strict iff LM(k) is below
+        lcm(i, j) in some variable where LM(i) is, and likewise for j.
+        """
+        if len(self.lms) < 3:
+            return False
+        if self.indexed < len(self.lms):
+            self._index()
+        # every element but i and j
+        cand = ((1 << len(self.lms)) - 1) ^ (1 << i) ^ (1 << j)
+        below_i = below_j = 0
+        for table, x, y in zip(self.tables, self.lms[i], self.lms[j]):
+            if x < y:
+                at_most, below = table[y]
+                below_i |= below
+            elif y < x:
+                at_most, below = table[x]
+                below_j |= below
+            else:
+                at_most = table[x][0]
+            cand &= at_most
+            if not cand:
+                return False
+        return bool(cand & below_i & below_j)
 
 
 def _minimalize_basis(basis, lms, order) -> BasisResult:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import semigroup as sg
-from .basis import standard_basis
 from .errors import (EmptyRange, GcdViolation, GeneratorCollision, GluingError,
                      MalformedConfig, MalformedPolynomial, NotInSemigroup,
                      PIsMinimalGenerator, QIsMinimalGenerator, SelfCheckFailed,
@@ -23,7 +22,8 @@ from .hilbert import (HilbertData, certifies_defining_ideal,
                       local_hilbert_function, product_factorization_check)
 from .polyalg import (Polynomial, is_variable_name, negdegrevlex,
                       parse_polynomial)
-from .tangentcone import TangentConeReport, tangent_cone
+from .tangentcone import (TangentConeReport, local_standard_basis,
+                          tangent_cone)
 from .toric import MonomialCurve, check_kernel_element, defining_ideal
 
 
@@ -200,11 +200,6 @@ class VerificationReport:
     rossi_candidate: bool
     glued_report: TangentConeReport
 
-    def theorems_hold(self) -> bool:
-        return not (
-            (self.theorem1_applicable and self.theorem1_confirmed is False)
-            or (self.theorem2_applicable and self.theorem2_confirmed is False))
-
 
 def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
                     hf_prefix_len: int | None = None) -> VerificationReport:
@@ -321,8 +316,7 @@ def _leading_decomposition_ok(spec, rep1, rep2, rosales, glued) -> bool:
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     order = negdegrevlex(l + k, _theorem_priority(l, k))
-    basis = standard_basis(rosales, order)
-    got = set(basis.leading_monomials())
+    got = set(local_standard_basis(rosales, order).leading_monomials())
     expect = {(*m, *(0,) * k) for m in rep1.lm_set}
     expect |= {(*(0,) * l, *m) for m in rep2.lm_set}
     a1 = spec.a_witness.coefficients[0]

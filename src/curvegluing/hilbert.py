@@ -37,16 +37,6 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
-def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
-def poly_shift(a: IntPoly, k: int) -> IntPoly:
-    return _trim([0] * k + list(a))
-
-
 def poly_eval_one(a: IntPoly) -> int:
     return sum(a)
 

@@ -53,11 +53,6 @@ def m_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(map(max, a, b))
 
 
-def m_coprime(a: Mono, b: Mono) -> bool:
-    # exponents are non-negative: a product is nonzero iff both are
-    return not any(map(operator.mul, a, b))
-
-
 def minimal_indices(monos) -> list[int]:
     """Indices, in input order, of the minimal generators of <monos>.
 
@@ -107,6 +102,7 @@ class MonomialOrder:
         # leading-term lookups ask for the same monomials' keys many times;
         # the memo lives and dies with this order object
         object.__setattr__(self, "_keys", {})
+        object.__setattr__(self, "_revlex", self.priority[::-1])
 
     @property
     def nvars(self) -> int:
@@ -131,13 +127,13 @@ class MonomialOrder:
         return k
 
     def _key(self, m: Mono):
-        tail = tuple(-m[v] for v in reversed(self.priority))
+        # a list comprehension builds the tuple faster than a generator
+        tail = tuple([-m[v] for v in self._revlex])
         if self.kind == DEGREVLEX:
             return (sum(m), tail)
         if self.kind == NEGDEGREVLEX:
             return (-sum(m), tail)
-        bdeg = sum(m[v] for v in self.block)
-        return (bdeg, sum(m), tail)
+        return (sum([m[v] for v in self.block]), sum(m), tail)
 
     def compare(self, a: Mono, b: Mono) -> int:
         if len(a) != len(b) or len(a) != self.nvars:
@@ -252,9 +248,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def total_degree(self) -> int:
         if not self.terms:

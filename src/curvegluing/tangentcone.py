@@ -15,7 +15,8 @@ from .basis import BasisResult, standard_basis
 from .errors import InvalidPriority
 from .polyalg import (Mono, MonomialOrder, Polynomial, least_degree_form,
                       negdegrevlex)
-from .toric import MonomialCurve, defining_ideal
+from .toric import (MonomialCurve, _complete_binomials, as_binomials,
+                    defining_ideal)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ def tangent_cone(C: MonomialCurve,
             f"(smallest generator {C.generators[smallest]})")
     order = negdegrevlex(C.nvars, priority)
     gens = defining_ideal(C) if ideal_gens is None else ideal_gens
-    basis = standard_basis(gens, order)
+    basis = local_standard_basis(gens, order)
     lms = tuple(basis.leading_monomials())
 
     witness = None
@@ -70,6 +71,20 @@ def tangent_cone(C: MonomialCurve,
         is_cohen_macaulay=witness is None,
         witness=witness,
     )
+
+
+def local_standard_basis(gens: list[Polynomial],
+                         order: MonomialOrder) -> BasisResult:
+    """``basis.standard_basis``, computed on exponent pairs when every
+    generator is a pure difference binomial (a curve's ideal always is)."""
+    key = order.key
+    pairs = as_binomials(gens, key)
+    if pairs is None:
+        return standard_basis(gens, order)
+    return BasisResult(
+        tuple(Polynomial({lead: 1, trail: -1}, _clean=False) for lead, trail
+              in _complete_binomials(pairs, key, local=True)),
+        order, minimal=True)
 
 
 def cone_generators(C: MonomialCurve,

@@ -25,6 +25,24 @@ give on the same input, in the same order, for two reasons:
   semigroup grading deg x_i = n_i > 0, so each fiber is finite, and a
   search of the fiber of a decides what ``is_member_global`` decides: the
   pruner keeps the same generators.
+
+The same completion loop, with ``local=True``, gives the local-order
+standard bases behind the tangent cones (``tangentcone.local_standard_basis``)
+and lists what ``basis.standard_basis`` lists:
+
+- Mora's weak normal form.  Rewriting the leading term of x^a - x^b by
+  x^l - x^t again leaves a pure difference binomial, so each step moves one
+  exponent.  Under a local degree order the lead has the smaller degree,
+  so the ecart of x^l - x^t is deg(t) - deg(l).  The reducer is the first
+  of least ecart whose lead divides, and the binomial joins the reducers
+  first when that ecart exceeds its own, as in ``basis._nf_mora``.
+- No monomial times a unit.  A reducer x^l - x^t with l | t is x^l times
+  the unit 1 - x^(t-l) of the local ring; ``basis._nf_mora`` rescales such
+  a reducer.  It cannot occur here: every binomial of a curve's ideal is
+  homogeneous for the semigroup grading, where x^l and x^t would have
+  different degrees, and a prime ideal without monomials would hold
+  1 - x^(t-l) and with it 1.  Every binomial that becomes a reducer is
+  checked, and one of this shape raises :class:`SelfCheckFailed`.
 """
 
 from __future__ import annotations
@@ -34,11 +52,11 @@ from dataclasses import dataclass, field
 from operator import add, le, mul, sub
 
 from . import semigroup as sg
-from .basis import (_chain_redundant, buchberger, is_member_global,
+from .basis import (_LeadIndex, buchberger, is_member_global,
                     normal_form_global)
 from .errors import ArityMismatch, NonHomogeneousBinomial, SelfCheckFailed
-from .polyalg import (Mono, Polynomial, degrevlex, elimination, m_coprime,
-                      m_deg, m_lcm, minimal_indices)
+from .polyalg import (Mono, Polynomial, degrevlex, elimination, m_deg,
+                      minimal_indices)
 
 Binomial = tuple[Mono, Mono]  # (lead, trail): the monic x^lead - x^trail
 
@@ -148,6 +166,20 @@ def _monomial_nf(b: Mono, reducers: list[Binomial]) -> Mono:
             return b
 
 
+def as_binomials(gens: list[Polynomial], key) -> list[Binomial] | None:
+    """Each generator, a pure difference binomial ±(x^a - x^b), as its pair
+    (lead, trail) under ``key``; None when some generator is not one."""
+    pairs = []
+    for g in gens:
+        if len(g.terms) != 2:
+            return None
+        (a, ca), (b, cb) = g.terms.items()
+        if ca + cb or abs(ca) != 1:
+            return None
+        pairs.append((a, b) if key(a) > key(b) else (b, a))
+    return pairs
+
+
 def _interreduce_binomials(gens: list[Binomial], key) -> list[Binomial]:
     """``basis.interreduce_global`` on monic binomials, sweep for sweep."""
     elems = list(gens)
@@ -166,37 +198,91 @@ def _interreduce_binomials(gens: list[Binomial], key) -> list[Binomial]:
     return elems
 
 
-def _complete_binomials(gens: list[Binomial], key) -> list[Binomial]:
-    """``basis.buchberger`` on monic binomials: a minimal Groebner basis.
+def _complete_binomials(gens: list[Binomial], key,
+                        local: bool = False) -> list[Binomial]:
+    """``basis._complete`` on monic binomials oriented by ``key``.
 
-    The same ``(lcm degree, i, j)`` pair heap, product and chain criteria,
-    reducer choice and minimalization as ``basis._complete``.
+    A minimal Groebner basis, or with ``local`` (``key`` then a local degree
+    order) a minimal standard basis.  The same ``(lcm degree, i, j)`` pair
+    heap, product and chain criteria, reducer choice and minimalization as
+    ``basis._complete``; the remainder is ``_binomial_nf`` or, with
+    ``local``, Mora's weak normal form ``_mora_nf``.
     """
     polys: list[Binomial] = []
-    lms: list[Mono] = []
+    ecarts: list[int] = []  # of each element, when local
+    leads = _LeadIndex()
     pairs: list[tuple[int, int, int]] = []
 
     def add_element(g):
+        if local:
+            ecarts.append(_ecart(*g))
         polys.append(g)
-        lms.append(g[0])
-        j = len(lms) - 1
-        for i in range(j):
-            heapq.heappush(pairs, (m_deg(m_lcm(lms[i], g[0])), i, j))
+        leads.push_pairs(g[0], pairs)
 
     for g in gens:
         add_element(g)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        if m_coprime(lms[i], lms[j]) or _chain_redundant(i, j, lms):
+        if leads.chain_redundant(i, j):
             continue
         (li, ti), (lj, tj) = polys[i], polys[j]
-        lcm = m_lcm(li, lj)
+        lcm = tuple(map(max, li, lj))
         # S(g_i, g_j) = x^(lcm - lj + tj) - x^(lcm - li + ti)
-        r = _binomial_nf(tuple(map(add, map(sub, lcm, lj), tj)),
-                         tuple(map(add, map(sub, lcm, li), ti)), polys, key)
+        a = tuple(map(add, map(sub, lcm, lj), tj))
+        b = tuple(map(add, map(sub, lcm, li), ti))
+        r = _mora_nf(a, b, polys, ecarts, key) if local else \
+            _binomial_nf(a, b, polys, key)
         if r is not None:
             add_element(r)
-    return [polys[i] for i in minimal_indices(lms)]
+    return [polys[i] for i in minimal_indices(leads.lms)]
+
+
+def _ecart(lead: Mono, trail: Mono) -> int:
+    """Ecart of x^lead - x^trail under a local degree order.
+
+    A lead dividing its trail makes the binomial a monomial times a unit,
+    which no graded ideal without monomials holds; it is refused rather
+    than reduced (``basis._nf_mora`` rescales such a reducer).
+    """
+    if all(map(le, lead, trail)):
+        raise SelfCheckFailed(
+            f"x^{lead} - x^{trail} is a monomial times a unit of the local "
+            f"ring: the ideal is not graded or holds a monomial")
+    return sum(trail) - sum(lead)
+
+
+def _mora_nf(a: Mono, b: Mono, reducers: list[Binomial], ecarts: list[int],
+             key) -> Binomial | None:
+    """Mora's weak normal form of x^a - x^b: oriented, or None for zero.
+
+    ``basis._nf_mora`` step for step: the leading term is rewritten by the
+    first reducer of least ecart whose lead divides it, and the current
+    binomial joins the reducers first when that ecart exceeds its own.  The
+    grown reducers are dropped on return.
+    """
+    fixed = len(reducers)
+    try:
+        ka, kb = key(a), key(b)
+        while a != b:
+            if ka < kb:
+                a, b, ka, kb = b, a, kb, ka
+            best = best_e = -1
+            for i, (lead, _) in enumerate(reducers):
+                if all(map(le, lead, a)) and (best < 0 or ecarts[i] < best_e):
+                    best, best_e = i, ecarts[i]
+                    if not best_e:
+                        break  # no ecart is below 0
+            if best < 0:
+                return a, b
+            if best_e > sum(b) - sum(a):
+                ecarts.append(_ecart(a, b))
+                reducers.append((a, b))
+            lead, trail = reducers[best]
+            a = tuple(map(add, map(sub, a, lead), trail))
+            ka = key(a)
+        return None
+    finally:
+        del reducers[fixed:], ecarts[fixed:]
 
 
 def fiber_connected(a: Mono, b: Mono, moves: list[Binomial],

@@ -5,18 +5,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvegluing.basis import (buchberger, interreduce_global,
+from curvegluing.basis import (_LeadIndex, buchberger, interreduce_global,
                                is_member_global, leading_ideal, mora_weak_nf,
                                normal_form_global, standard_basis)
 from curvegluing.errors import NonGlobalOrder, NonLocalOrder
 from curvegluing.polyalg import (Polynomial, degrevlex, elimination,
-                                 leading_monomial, m_coprime, m_divides,
+                                 leading_monomial, m_divides,
                                  monic, negdegrevlex, parse_polynomial, spoly)
 
 NAMES3 = ("x1", "x2", "x3")
 NAMES4 = ("x1", "x2", "y1", "y2")
 ORDER32 = negdegrevlex(3, priority=(1, 2, 0))   # x2 > x3 > x1
 ORDER22 = negdegrevlex(4, priority=(1, 3, 2, 0))  # x2 > y2 > y1 > x1
+
+
+def coprime(a, b):
+    return not any(x and y for x, y in zip(a, b))
 
 
 def P3(t):
@@ -64,7 +68,7 @@ class TestBuchberger:
             if not gens:
                 continue
             basis = buchberger(gens, degrevlex(3))
-            assert all(g.num_terms() <= 2 for g in basis.elements)
+            assert all(len(g.terms) <= 2 for g in basis.elements)
 
     def test_rejects_local_order(self):
         with pytest.raises(NonGlobalOrder):
@@ -84,6 +88,40 @@ class TestBuchberger:
         assert lm_set(with_chain) == lm_set(without)
 
 
+def _chain_by_definition(i, j, lms):
+    """Some LM(k), k != i, j, divides lcm(i, j) while lcm(i, k) and
+    lcm(j, k) are both strict divisors of it."""
+    def lcm(a, b):
+        return tuple(map(max, a, b))
+
+    lij = lcm(lms[i], lms[j])
+    return any(k not in (i, j) and m_divides(lk, lij)
+               and lcm(lms[i], lk) != lij and lcm(lms[j], lk) != lij
+               for k, lk in enumerate(lms))
+
+
+class TestLeadIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=12)),
+        st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_chain_criterion_matches_its_definition(self, lms, query):
+        # queries between appends: the index catches up lazily
+        leads = _LeadIndex()
+        pairs = []
+        for n, lm in enumerate(lms):
+            leads.push_pairs(lm, pairs)
+            if query[n]:
+                for i, j in itertools.combinations(range(n + 1), 2):
+                    assert leads.chain_redundant(i, j) == \
+                        _chain_by_definition(i, j, lms[:n + 1])
+        # every non-coprime pair is pushed once, keyed by its lcm degree
+        assert sorted(pairs) == sorted(
+            (sum(map(max, lms[i], lms[j])), i, j)
+            for i, j in itertools.combinations(range(len(lms)), 2)
+            if not coprime(lms[i], lms[j]))
+
+
 class TestMoraWeakNF:
     def test_self_reduction(self):
         g = P3("x1*x3 - x2^3")
@@ -100,7 +138,7 @@ class TestMoraWeakNF:
         elems = list(basis.elements)
         lms = basis.leading_monomials()
         pairs = [(i, j) for i in range(len(elems)) for j in range(i)
-                 if m_coprime(lms[i], lms[j])]
+                 if coprime(lms[i], lms[j])]
         assert pairs
         for i, j in pairs:
             s = spoly(elems[i], elems[j], ORDER22)
@@ -179,7 +217,7 @@ class TestStandardBasis:
 
     def test_binomial_closure(self):
         basis = standard_basis(IDEAL_22, ORDER22)
-        assert all(g.num_terms() <= 2 for g in basis.elements)
+        assert all(len(g.terms) <= 2 for g in basis.elements)
 
     def test_monic_normalization(self):
         basis = standard_basis(IDEAL_22, ORDER22)

@@ -26,6 +26,12 @@ from curvegluing.toric import (check_kernel_element, defining_ideal,
 from family_samples import random_nice_gluing
 
 
+def theorems_hold(report) -> bool:
+    """No applicable theorem is contradicted, as ``all_theorems_hold`` reads."""
+    return report.theorem1_confirmed is not False and \
+        report.theorem2_confirmed is not False
+
+
 class TestValidation:
     def test_example_gluing_not_nice(self):
         spec = validate_gluing([5, 12], [7, 8], 17, 21)
@@ -144,7 +150,7 @@ class TestVerifyInstance:
         assert report.gorenstein
         assert report.complete_intersection
         assert not report.rossi_candidate
-        assert report.theorems_hold()
+        assert theorems_hold(report)
 
     def test_family_2_9(self):
         for r in (1, 2, 3):
@@ -192,7 +198,7 @@ class TestCornerShapes:
         assert spec.b_witness.coefficients == (7,)
         report = verify_instance(spec)
         assert report.c1_cm
-        assert report.theorems_hold()
+        assert theorems_hold(report)
 
     def test_second_component_three_generators_cm(self):
         # three-generator second component with a Cohen-Macaulay cone
@@ -370,23 +376,52 @@ class TestPresentationSize:
         import curvegluing.toric as toric
 
         arities = []  # ring variables of every input generator
+        real_complete = toric._complete_binomials
+        real_prune = toric._prune_redundant
 
-        def spying(real, arity):
-            def spy(gens, *args, **kwargs):
-                arities.extend(map(arity, gens))
-                return real(gens, *args, **kwargs)
-            return spy
+        def eliminating(gens, key, local=False):
+            # the elimination runs on (lead, trail) pairs with the parameter
+            # t in slot 0; the local completions of the cones are not one
+            if not local:
+                arities.extend(len(g[0]) - 1 for g in gens)
+            return real_complete(gens, key, local)
 
-        # the completion runs on (lead, trail) pairs with the parameter t in
-        # slot 0; the pruner on polynomials
-        monkeypatch.setattr(toric, "_complete_binomials", spying(
-            toric._complete_binomials, lambda g: len(g[0]) - 1))
-        monkeypatch.setattr(toric, "_prune_redundant", spying(
-            toric._prune_redundant, lambda g: len(next(iter(g.terms)))))
+        def pruning(gens, is_member):
+            arities.extend(len(next(iter(g.terms))) for g in gens)
+            return real_prune(gens, is_member)
+
+        monkeypatch.setattr(toric, "_complete_binomials", eliminating)
+        monkeypatch.setattr(toric, "_prune_redundant", pruning)
         spec = validate_gluing([5, 12], [7, 8], 17, 21)
         report = verify_instance(spec, cross_check_ideal=True)
         assert report.ideal_cross_check is True
         assert arities and 4 not in arities  # the glued ring: 2 + 2 variables
+
+    def test_no_polynomial_completion_on_the_verify_path(self, monkeypatch):
+        import curvegluing.basis as basis
+        import curvegluing.polyalg as polyalg
+
+        called = []
+
+        def spying(name, real):
+            def spy(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(basis, "_complete",
+                            spying("_complete", basis._complete))
+        # basis binds spoly by name, so both bindings are spied
+        spoly = spying("spoly", polyalg.spoly)
+        for module in (polyalg, basis):
+            monkeypatch.setattr(module, "spoly", spoly)
+        spec = random_nice_gluing(random.Random(101), dim1=2, dim2=2)
+        report = verify_instance(spec, cross_check_ideal=True)
+        assert report.ideal_cross_check is True
+        # the nice path ran: both cones, the glued cone and the
+        # leading-ideal decomposition under the theorem order
+        assert report.leading_ideal_decomposition_ok is True
+        assert called == []
 
 
 class TestTheoremSuites:

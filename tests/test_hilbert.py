@@ -9,14 +9,28 @@ from curvegluing.gluing import glued_curve, glued_ideal, validate_gluing
 from curvegluing.hilbert import (HilbertData, certifies_defining_ideal,
                                  divide_by_one_minus_t, hilbert_from_lms,
                                  hilbert_numerator, local_hilbert_function,
-                                 nondecreasing_verdict, poly_add, poly_mul,
-                                 poly_shift, product_factorization_check)
+                                 nondecreasing_verdict, poly_mul,
+                                 product_factorization_check)
 from curvegluing.polyalg import Polynomial, m_divides, minimal_indices
 from curvegluing.semigroup import minimal_generators
 from curvegluing.tangentcone import tangent_cone
 from curvegluing.toric import MonomialCurve, curve, defining_ideal
 
 LMS_32 = [(0, 0, 2), (1, 0, 1), (0, 3, 1), (0, 6, 0)]
+
+
+def poly_add(a, b):
+    """Sum of two coefficient lists, trailing zeros trimmed."""
+    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+           for i in range(max(len(a), len(b)))]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_shift(a, k):
+    """t^k times a coefficient list."""
+    return poly_add([0] * k + list(a), [0])
 
 
 def brute_standard_monomial_counts(lms, nvars, maxdeg):

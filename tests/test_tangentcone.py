@@ -1,13 +1,24 @@
 import random
+from itertools import product
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curvegluing.errors import InvalidPriority
+from family_samples import random_nice_gluing, random_semigroup
+
+from curvegluing import toric
+from curvegluing.basis import standard_basis
+from curvegluing.errors import InvalidPriority, SelfCheckFailed
+from curvegluing.gluing import (_paper_priority, _theorem_priority,
+                                glued_curve, glued_ideal)
 from curvegluing.hilbert import local_hilbert_function
-from curvegluing.polyalg import least_degree_form, parse_polynomial
+from curvegluing.polyalg import (Polynomial, least_degree_form, negdegrevlex,
+                                 parse_polynomial, polynomial_to_str)
 from curvegluing.semigroup import minimal_generators
-from curvegluing.tangentcone import canonical_priority, tangent_cone
-from curvegluing.toric import MonomialCurve, curve
+from curvegluing.tangentcone import (canonical_priority, local_standard_basis,
+                                     tangent_cone)
+from curvegluing.toric import MonomialCurve, as_binomials, curve, defining_ideal
 
 GLUED_22 = MonomialCurve((105, 252, 119, 136), ("x1", "x2", "y1", "y2"))
 
@@ -124,3 +135,138 @@ class TestCrossModuleInvariants:
             S = minimal_generators(gens)
             hf = S.order_filtration_hilbert(25)
             assert hf[-1] == min(gens)
+
+
+def _listing(elements, names, order):
+    """Each basis element's term dict and its printed form."""
+    return [(g.terms, polynomial_to_str(g, names, order)) for g in elements]
+
+
+def assert_same_basis(gens, order, names):
+    """The exponent-pair completion lists what ``standard_basis`` lists."""
+    assert as_binomials(gens, order.key) is not None  # the pair path runs
+    got = local_standard_basis(gens, order)
+    want = standard_basis(gens, order)
+    assert got.order == want.order and got.minimal and want.minimal
+    assert _listing(got.elements, names, order) == \
+        _listing(want.elements, names, order)
+
+
+class TestBinomialStandardBasis:
+    """``local_standard_basis`` runs ``toric._complete_binomials`` with
+    ``local=True`` on pure difference binomials; ``basis.standard_basis`` on
+    the same generators is the reference, element by element."""
+
+    @pytest.mark.parametrize("gens", [(6, 7, 15), (5, 12), (2, 3), (4, 5),
+                                      (3, 4, 5), (105, 252, 119, 136)])
+    def test_paper_and_scan_curves(self, gens):
+        C = curve(gens)
+        for priority in (canonical_priority(C), _paper_priority(C.nvars)):
+            assert_same_basis(defining_ideal(C),
+                              negdegrevlex(C.nvars, priority), C.names)
+
+    def test_random_curves(self):
+        rng = random.Random(97)
+        for i in range(40):
+            C = curve(random_semigroup(rng, 2 + i % 4, max_gen=23).generators)
+            for priority in (canonical_priority(C),
+                             _paper_priority(C.nvars)):
+                assert_same_basis(defining_ideal(C),
+                                  negdegrevlex(C.nvars, priority), C.names)
+
+    def test_glued_sets(self):
+        rng = random.Random(103)
+        for i in range(30):
+            spec = random_nice_gluing(rng, dim1=2 + i % 2, dim2=2 + i // 2 % 2)
+            C = glued_curve(spec)
+            theorem = _theorem_priority(len(spec.s1.generators),
+                                        len(spec.s2.generators))
+            for priority in (canonical_priority(C), theorem):
+                assert_same_basis(glued_ideal(spec),
+                                  negdegrevlex(C.nvars, priority), C.names)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_homogeneous_binomials(self, data):
+        n = data.draw(st.integers(2, 4))
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=n,
+                                     max_size=n))
+
+        def fiber(d):
+            return [m for m in product(range(d + 1), repeat=n)
+                    if sum(map(mul, m, weights)) == d]
+
+        gens = []
+        for d in data.draw(st.lists(st.integers(2, 8), min_size=1,
+                                    max_size=4)):
+            exps = fiber(d)
+            if len(exps) > 1:
+                u, v = data.draw(st.lists(st.sampled_from(exps), min_size=2,
+                                          max_size=2, unique=True))
+                gens.append(Polynomial({u: 1, v: -1}))
+        priority = tuple(data.draw(st.permutations(range(n))))
+        names = tuple(f"x{i + 1}" for i in range(n))
+        assert_same_basis(gens, negdegrevlex(n, priority), names)
+
+    @pytest.mark.parametrize("priority, pairs", [
+        # weights (2, 2, 1, 2)
+        ((2, 0, 3, 1), [((3, 0, 1, 0), (0, 0, 3, 2)),
+                        ((4, 0, 0, 0), (0, 1, 2, 2)),
+                        ((0, 2, 3, 0), (0, 0, 7, 0))]),
+        # weights (1, 2, 2, 2)
+        ((2, 1, 0, 3), [((0, 0, 2, 0), (0, 0, 1, 1)),
+                        ((0, 3, 1, 0), (4, 0, 1, 1)),
+                        ((0, 1, 0, 0), (2, 0, 0, 0)),
+                        ((2, 2, 1, 0), (2, 2, 0, 1))]),
+        # weights (2, 2, 4, 1)
+        ((1, 0, 2, 3), [((0, 0, 2, 0), (1, 1, 1, 0)),
+                        ((0, 1, 1, 2), (0, 3, 0, 2)),
+                        ((1, 1, 0, 0), (0, 1, 0, 2))]),
+        # weights (1, 2, 1, 3)
+        ((3, 1, 2, 0), [((1, 1, 2, 0), (0, 0, 5, 0)),
+                        ((2, 1, 0, 0), (2, 0, 2, 0))]),
+    ])
+    def test_reducer_choice_decides_the_tails(self, priority, pairs):
+        # found by search: on these, taking the first or the last divisor,
+        # or the last of least ecart, in place of the first of least ecart
+        # leaves a different trail in the basis
+        assert_same_basis([Polynomial({a: 1, b: -1}) for a, b in pairs],
+                          negdegrevlex(4, priority), ("x1", "x2", "x3", "x4"))
+
+    def test_other_generators_take_the_polynomial_path(self):
+        C = curve([2, 3])
+        (g,) = defining_ideal(C)
+        order = negdegrevlex(2, canonical_priority(C))
+        x = Polynomial.variable(0, 2)
+        for gens in ([g * g], [x], [g, x], [g.scale(2)]):
+            assert as_binomials(gens, order.key) is None
+            assert local_standard_basis(gens, order) == \
+                standard_basis(gens, order)
+
+
+class TestMonomialTimesUnitRefused:
+    """No graded ideal without monomials holds x^l - x^t with l | t, so the
+    exponent-pair Mora loop refuses one instead of rescaling it."""
+
+    def test_generator(self):
+        order = negdegrevlex(2)
+        with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
+            toric._complete_binomials([((1, 0), (2, 0))], order.key,
+                                      local=True)
+
+    def test_remainder(self):
+        # S(x1 - x2, x1 - x2^2) = x2^2 - x2, irreducible: x2 * (x2 - 1)
+        order = negdegrevlex(2)
+        gens = as_binomials([parse_polynomial(t, ("x1", "x2"))
+                             for t in ("x1 - x2", "x1 - x2^2")], order.key)
+        with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
+            toric._complete_binomials(gens, order.key, local=True)
+
+    def test_grown_reducer(self):
+        # h = x2 - x2^3 (ecart 2) meets its only reducer x2 - x1^4 (ecart 3):
+        # Mora would add h to the reducers
+        order = negdegrevlex(2)
+        reducers, ecarts = [((0, 1), (4, 0))], [3]
+        with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
+            toric._mora_nf((0, 1), (0, 3), reducers, ecarts, order.key)
+        assert reducers == [((0, 1), (4, 0))] and ecarts == [3]
