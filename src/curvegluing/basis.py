@@ -24,14 +24,15 @@ from .polyalg import (Coeff, Mono, MonomialOrder, Polynomial, exact_quotient,
 
 @dataclass(frozen=True)
 class BasisResult:
-    """A (standard or Groebner) basis with the order it was computed under."""
+    """A minimal (standard or Groebner) basis, its order, and ``leads[i]``,
+    the leading monomial of ``elements[i]`` as the completion chose it."""
 
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
-    minimal: bool
+    leads: tuple[Mono, ...]
 
     def leading_monomials(self) -> list[Mono]:
-        return [leading_term(g, self.order)[0] for g in self.elements]
+        return list(self.leads)
 
 
 class _Reducers:
@@ -214,7 +215,10 @@ def _complete(gens, order, local, use_chain_criterion):
         if not r.is_zero():
             add_element(monic(r, order))
 
-    return _minimalize_basis(red.polys, red.lms, order)
+    # the minimal leading-monomial set; of equal LMs the earliest is kept
+    keep = minimal_indices(red.lms)
+    return BasisResult(tuple(red.polys[i] for i in keep), order,
+                       tuple(red.lms[i] for i in keep))
 
 
 class _LeadIndex:
@@ -303,18 +307,9 @@ class _LeadIndex:
         return bool(cand & below_i & below_j)
 
 
-def _minimalize_basis(basis, lms, order) -> BasisResult:
-    """Divisibility-prune to the unique minimal leading-monomial set.
-
-    Among elements with the same LM, the earliest generated is kept.
-    """
-    elems = tuple(monic(basis[i], order) for i in minimal_indices(lms))
-    return BasisResult(elems, order, minimal=True)
-
-
 def leading_ideal(result: BasisResult) -> list[Mono]:
     """Minimal monomial generating set of the leading ideal of the basis."""
-    lms = result.leading_monomials()
+    lms = result.leads
     return sorted(lms[i] for i in minimal_indices(lms))
 
 

@@ -33,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
-    except argparse.ArgumentTypeError as exc:  # a bad path inside a config
+    except argparse.ArgumentTypeError as exc:  # found after parsing
         parser.error(str(exc))
     except (DomainError, SelfCheckFailed, TheoremViolation) as exc:
         code = getattr(exc, "code", type(exc).__name__)
@@ -78,10 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("generators", nargs="*", type=_parse_gens,
                    help="curve generators")
     p.add_argument("--raw", help="semicolon-separated polynomials instead of a curve")
-    p.add_argument("--vars", help="comma-separated variable names for --raw")
+    p.add_argument("--vars", help="needs --raw: comma-separated variable names")
     p.add_argument("--local", action="store_true",
-                   help="with --raw: standard basis under a local order")
-    p.add_argument("--order", help="variable priority, highest first (comma separated)")
+                   help="needs --raw: standard basis under a local order")
+    p.add_argument("--order", help="needs --raw: variable priority, highest "
+                                   "first (comma separated)")
     _common_flags(p)
     p.set_defaults(func=cmd_ideal)
 
@@ -207,8 +208,13 @@ def cmd_semigroup(args) -> dict:
 
 
 def cmd_ideal(args) -> dict:
-    if args.raw:
+    if args.raw is not None:
+        if args.generators:
+            raise argparse.ArgumentTypeError("--raw takes no curve generators")
         return _raw_basis(args)
+    for flag in ("--vars", "--local", "--order"):
+        if getattr(args, flag[2:]):
+            raise argparse.ArgumentTypeError(f"{flag} needs --raw")
     if not args.generators:
         raise DomainError("pass curve generators or --raw")
     C = make_curve(_flat(args.generators))

@@ -316,7 +316,7 @@ def _leading_decomposition_ok(spec, rep1, rep2, rosales, glued) -> bool:
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     order = negdegrevlex(l + k, _theorem_priority(l, k))
-    got = set(local_standard_basis(rosales, order).leading_monomials())
+    got = set(local_standard_basis(rosales, order).leads)
     expect = {(*m, *(0,) * k) for m in rep1.lm_set}
     expect |= {(*(0,) * l, *m) for m in rep2.lm_set}
     a1 = spec.a_witness.coefficients[0]

@@ -44,17 +44,7 @@ class NumericalSemigroup:
 
     def __post_init__(self):
         gens = self.generators
-        if not gens:
-            raise EmptyGenerators("no generators")
-        if any(g <= 0 for g in gens):
-            raise NonPositiveGenerator(f"{list(gens)} has a generator <= 0")
-        if list(gens) != sorted(set(gens)):
-            raise ValueError("generators must be strictly increasing")
-        g = 0
-        for n in gens:
-            g = gcd(g, n)
-        if g != 1:
-            raise GcdNotOne(f"gcd of {list(gens)} is {g}")
+        _check_generators(gens, list(gens))
         reduced = _minimalize(gens)
         if reduced != gens:
             raise ValueError(
@@ -167,16 +157,22 @@ class NumericalSemigroup:
 
 def minimal_generators(raw: list[int] | tuple[int, ...]) -> NumericalSemigroup:
     """Normalize arbitrary generators with gcd 1 to the minimal set."""
-    if not raw:
+    gens = tuple(sorted(set(raw)))
+    _check_generators(gens, list(raw))
+    return NumericalSemigroup(_minimalize(gens))
+
+
+def _check_generators(gens: tuple[int, ...], shown: list[int]):
+    """Refuse ``gens`` unless nonempty, positive, strictly increasing and of
+    gcd 1; messages name ``shown``, the generators as the caller gave them."""
+    if not gens:
         raise EmptyGenerators("no generators")
-    if any(g <= 0 for g in raw):
-        raise NonPositiveGenerator(f"{list(raw)} has a generator <= 0")
-    g = 0
-    for n in raw:
-        g = gcd(g, n)
-    if g != 1:
-        raise GcdNotOne(f"gcd of {list(raw)} is {g}")
-    return NumericalSemigroup(_minimalize(tuple(sorted(set(raw)))))
+    if any(g <= 0 for g in gens):
+        raise NonPositiveGenerator(f"{shown} has a generator <= 0")
+    if list(gens) != sorted(set(gens)):
+        raise ValueError("generators must be strictly increasing")
+    if gcd(*gens) != 1:
+        raise GcdNotOne(f"gcd of {shown} is {gcd(*gens)}")
 
 
 def _minimalize(gens: tuple[int, ...]) -> tuple[int, ...]:

@@ -3,8 +3,9 @@
 A minimal standard basis of the defining ideal under a local order whose
 lowest variable carries the smallest semigroup generator decides everything:
 the cone is Cohen-Macaulay exactly when no basis leading monomial is
-divisible by that lowest variable.  The cone generators themselves (the
-least-degree forms) are produced for reporting and cross-validation only.
+divisible by that lowest variable, as the completion recorded them
+(``BasisResult.leads``).  The cone generators (the least-degree forms) serve
+reporting and cross-validation only and are computed when read.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ class TangentConeReport:
     order: MonomialOrder
     basis: BasisResult
     lm_set: tuple[Mono, ...]
-    cone_generators: tuple[Polynomial, ...]
     is_cohen_macaulay: bool
     witness: Polynomial | None  # basis element breaking CM, if any
+
+    @property
+    def cone_generators(self) -> tuple[Polynomial, ...]:
+        """Least-degree forms of the basis; they generate the cone ideal."""
+        return tuple(least_degree_form(g) for g in self.basis.elements)
 
 
 def canonical_priority(C: MonomialCurve) -> tuple[int, ...]:
@@ -54,20 +59,13 @@ def tangent_cone(C: MonomialCurve,
     order = negdegrevlex(C.nvars, priority)
     gens = defining_ideal(C) if ideal_gens is None else ideal_gens
     basis = local_standard_basis(gens, order)
-    lms = tuple(basis.leading_monomials())
-
-    witness = None
-    for g, m in zip(basis.elements, lms):
-        if m[smallest] > 0:
-            witness = g
-            break
-    cone_gens = tuple(least_degree_form(g) for g in basis.elements)
+    witness = next((g for g, m in zip(basis.elements, basis.leads)
+                    if m[smallest]), None)
     return TangentConeReport(
         curve=C,
         order=order,
         basis=basis,
-        lm_set=lms,
-        cone_generators=cone_gens,
+        lm_set=basis.leads,
         is_cohen_macaulay=witness is None,
         witness=witness,
     )
@@ -81,10 +79,10 @@ def local_standard_basis(gens: list[Polynomial],
     pairs = as_binomials(gens, key)
     if pairs is None:
         return standard_basis(gens, order)
-    return BasisResult(
-        tuple(Polynomial({lead: 1, trail: -1}, _clean=False) for lead, trail
-              in _complete_binomials(pairs, key, local=True)),
-        order, minimal=True)
+    basis = _complete_binomials(pairs, key, local=True)
+    return BasisResult(tuple(Polynomial({lead: 1, trail: -1}, _clean=False)
+                             for lead, trail in basis),
+                       order, tuple(lead for lead, _ in basis))
 
 
 def cone_generators(C: MonomialCurve,

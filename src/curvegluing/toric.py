@@ -120,16 +120,13 @@ def defining_ideal(C: MonomialCurve) -> list[Polynomial]:
     # on parameter-free monomials the block order is degrevlex(k), so every
     # pair keeps its orientation
     eliminated = _interreduce_binomials(eliminated, degrevlex(k).key)
-    # a binomial's two terms are its two exponents, which is all a fiber
-    # search needs
     pruned = _prune_redundant(
-        [Polynomial({lead: 1, trail: -1}, _clean=False)
-         for lead, trail in eliminated],
-        lambda g, rest: fiber_connected(*g.terms, [tuple(h.terms) for h in rest],
-                                        C.generators))
-    for g in pruned:
+        eliminated, lambda g, rest: fiber_connected(*g, rest, C.generators))
+    gens = [Polynomial({lead: 1, trail: -1}, _clean=False)
+            for lead, trail in pruned]
+    for g in gens:
         check_kernel_element(g, C)
-    return pruned
+    return gens
 
 
 def _binomial_nf(a: Mono, b: Mono, reducers: list[Binomial],
@@ -326,10 +323,11 @@ def fiber_connected(a: Mono, b: Mono, moves: list[Binomial],
 def _prune_redundant(gens: list, is_member) -> list:
     """Greedily drop generators that ``is_member(g, rest)`` finds redundant.
 
-    Generators are sorted by their sorted term degrees and tried from the
+    Each generator is given by its monomials, such as a ``(lead, trail)``
+    pair.  They are sorted by their sorted term degrees and tried from the
     last; each one tested against the others still kept.
     """
-    kept = sorted(gens, key=lambda g: sorted(map(m_deg, g.terms)))
+    kept = sorted(gens, key=lambda g: sorted(map(m_deg, g)))
     i = len(kept) - 1
     while i >= 0 and len(kept) > 1:
         candidate = kept[i]
@@ -367,9 +365,10 @@ def minimal_generator_count(gens: list[Polynomial], nvars: int) -> int:
     element it keeps was tested against a superset of the final rest.
     """
     order = degrevlex(nvars)
-    return len(_prune_redundant([g for g in gens if not g.is_zero()],
-                                lambda g, rest: is_member_global(g, rest,
-                                                                 order)))
+    return len(_prune_redundant(
+        [g.terms for g in gens if not g.is_zero()],
+        lambda g, rest: is_member_global(
+            Polynomial(g), [Polynomial(h) for h in rest], order)))
 
 
 def is_complete_intersection(C: MonomialCurve) -> bool:

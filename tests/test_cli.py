@@ -235,6 +235,21 @@ class TestExitCodes:
         assert "MalformedPolynomial" in err and piece in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["6", "7", "15", "--local"], "--local"),
+        (["6", "7", "15", "--order", "x2,x3,x1"], "--order"),
+        (["6", "7", "15", "--vars", "a,b,c"], "--vars"),
+        (["6", "7", "15", "--raw", "x1 - x2"], "--raw"),
+    ])
+    def test_ideal_flag_needs_its_mode(self, capsys, argv, flag):
+        # --local, --order and --vars shape a --raw basis only, and --raw
+        # replaces the curve; neither is ignored without a word
+        with pytest.raises(SystemExit) as exc:
+            main(["ideal", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("raw,names", [
         ("x1 + x2", "x1,x2,x2"),    # a repeated name
         ("x1 + x2", "x1,x2,"),      # an empty name

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import pickle
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -387,7 +388,8 @@ class TestPresentationSize:
             return real_complete(gens, key, local)
 
         def pruning(gens, is_member):
-            arities.extend(len(next(iter(g.terms))) for g in gens)
+            # the pruner runs on the eliminated (lead, trail) pairs
+            arities.extend(len(lead) for lead, _ in gens)
             return real_prune(gens, is_member)
 
         monkeypatch.setattr(toric, "_complete_binomials", eliminating)
@@ -420,6 +422,31 @@ class TestPresentationSize:
         assert report.ideal_cross_check is True
         # the nice path ran: both cones, the glued cone and the
         # leading-ideal decomposition under the theorem order
+        assert report.leading_ideal_decomposition_ok is True
+        assert called == []
+
+    def test_leading_monomials_read_from_the_basis(self, monkeypatch):
+        # every verdict reads the leading monomials the completion recorded;
+        # none is derived again from a polynomial, and no least-degree form
+        # is built on the verify path
+        import curvegluing.polyalg as polyalg
+
+        called = []
+        modules = [m for name, m in sys.modules.items()
+                   if name == "curvegluing" or name.startswith("curvegluing.")]
+        for name in ("leading_term", "least_degree_form"):
+            real = getattr(polyalg, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                called.append(_name)
+                return _real(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+        spec = random_nice_gluing(random.Random(101), dim1=2, dim2=2)
+        report = verify_instance(spec, cross_check_ideal=True)
+        assert report.ideal_cross_check is True
         assert report.leading_ideal_decomposition_ok is True
         assert called == []
 

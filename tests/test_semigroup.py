@@ -46,6 +46,22 @@ class TestMinimalGenerators:
         with pytest.raises(NonPositiveGenerator):
             NumericalSemigroup((-1, 3))
 
+    @pytest.mark.parametrize("gens,error", [
+        ([], EmptyGenerators),
+        ([0, 3], NonPositiveGenerator),
+        ([-2, 3], NonPositiveGenerator),
+        ([4, 6], GcdNotOne),
+    ])
+    def test_both_entry_points_refuse_alike(self, gens, error):
+        with pytest.raises(error) as raw:
+            minimal_generators(list(reversed(gens)))
+        with pytest.raises(error) as built:
+            NumericalSemigroup(tuple(gens))
+        # each names the generators as its caller gave them
+        if gens:
+            assert str(list(reversed(gens))) in str(raw.value)
+            assert str(gens) in str(built.value)
+
 
 class TestMembership:
     def test_17_in_5_12(self):

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from family_samples import random_nice_gluing, random_semigroup
 
 from curvegluing import toric
-from curvegluing.basis import standard_basis
+from curvegluing.basis import buchberger, standard_basis
 from curvegluing.errors import InvalidPriority, SelfCheckFailed
 from curvegluing.gluing import (_paper_priority, _theorem_priority,
                                 glued_curve, glued_ideal)
 from curvegluing.hilbert import local_hilbert_function
-from curvegluing.polyalg import (Polynomial, least_degree_form, negdegrevlex,
+from curvegluing.polyalg import (Polynomial, degrevlex, leading_term,
+                                 least_degree_form, negdegrevlex,
                                  parse_polynomial, polynomial_to_str)
 from curvegluing.semigroup import minimal_generators
 from curvegluing.tangentcone import (canonical_priority, local_standard_basis,
@@ -137,6 +138,25 @@ class TestCrossModuleInvariants:
             assert hf[-1] == min(gens)
 
 
+def draw_homogeneous_binomials(data, n):
+    """Pure difference binomials in n variables, homogeneous for random
+    positive weights, as a curve's ideal is for the semigroup grading."""
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+
+    def fiber(d):
+        return [m for m in product(range(d + 1), repeat=n)
+                if sum(map(mul, m, weights)) == d]
+
+    gens = []
+    for d in data.draw(st.lists(st.integers(2, 8), min_size=1, max_size=4)):
+        exps = fiber(d)
+        if len(exps) > 1:
+            u, v = data.draw(st.lists(st.sampled_from(exps), min_size=2,
+                                      max_size=2, unique=True))
+            gens.append(Polynomial({u: 1, v: -1}))
+    return gens
+
+
 def _listing(elements, names, order):
     """Each basis element's term dict and its printed form."""
     return [(g.terms, polynomial_to_str(g, names, order)) for g in elements]
@@ -147,7 +167,7 @@ def assert_same_basis(gens, order, names):
     assert as_binomials(gens, order.key) is not None  # the pair path runs
     got = local_standard_basis(gens, order)
     want = standard_basis(gens, order)
-    assert got.order == want.order and got.minimal and want.minimal
+    assert got.order == want.order and got.leads == want.leads
     assert _listing(got.elements, names, order) == \
         _listing(want.elements, names, order)
 
@@ -189,21 +209,7 @@ class TestBinomialStandardBasis:
     @given(st.data())
     def test_homogeneous_binomials(self, data):
         n = data.draw(st.integers(2, 4))
-        weights = data.draw(st.lists(st.integers(1, 4), min_size=n,
-                                     max_size=n))
-
-        def fiber(d):
-            return [m for m in product(range(d + 1), repeat=n)
-                    if sum(map(mul, m, weights)) == d]
-
-        gens = []
-        for d in data.draw(st.lists(st.integers(2, 8), min_size=1,
-                                    max_size=4)):
-            exps = fiber(d)
-            if len(exps) > 1:
-                u, v = data.draw(st.lists(st.sampled_from(exps), min_size=2,
-                                          max_size=2, unique=True))
-                gens.append(Polynomial({u: 1, v: -1}))
+        gens = draw_homogeneous_binomials(data, n)
         priority = tuple(data.draw(st.permutations(range(n))))
         names = tuple(f"x{i + 1}" for i in range(n))
         assert_same_basis(gens, negdegrevlex(n, priority), names)
@@ -242,6 +248,31 @@ class TestBinomialStandardBasis:
             assert as_binomials(gens, order.key) is None
             assert local_standard_basis(gens, order) == \
                 standard_basis(gens, order)
+
+
+class TestLeadsAreTheLeadingMonomials:
+    """``BasisResult.leads`` is what ``leading_term`` reads off each element,
+    whichever engine computed the basis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_engine(self, data):
+        n = data.draw(st.integers(2, 3))
+        gens = draw_homogeneous_binomials(data, n)
+        if data.draw(st.booleans()):
+            # any other polynomial sends local_standard_basis to the
+            # Polynomial engine
+            monos = st.tuples(*[st.integers(0, 3)] * n)
+            coeffs = st.integers(-3, 3).filter(bool)
+            gens.append(Polynomial(data.draw(st.dictionaries(
+                monos, coeffs, min_size=1, max_size=3))))
+        priority = tuple(data.draw(st.permutations(range(n))))
+        local = negdegrevlex(n, priority)
+        for result in (buchberger(gens, degrevlex(n, priority)),
+                       standard_basis(gens, local),
+                       local_standard_basis(gens, local)):
+            assert result.leads == tuple(leading_term(g, result.order)[0]
+                                         for g in result.elements)
 
 
 class TestMonomialTimesUnitRefused:
