@@ -28,6 +28,15 @@ class NonPositiveGenerator(DomainError):
     code = "NonPositiveGenerator"
 
 
+# ------------------------------------------------------------------- budget
+
+class WorkBudgetExceeded(DomainError):
+    """A request would allocate more than its fixed budget; raised before
+    the allocation."""
+
+    code = "WorkBudget"
+
+
 # ------------------------------------------------------------------ polyalg
 
 class ArityMismatch(DomainError):
@@ -122,6 +131,16 @@ class _Reproducible(RuntimeError):
 
 class SelfCheckFailed(_Reproducible):
     """An internal cross-validation failed; always a bug, never user error."""
+
+
+class MonomialTimesUnit(SelfCheckFailed):
+    """The exponent-pair Mora loop met x^l - x^t with l | t, a monomial times
+    a unit of the local ring, which no graded ideal without monomials holds.
+
+    A bug on a curve's ideal, where the tangent cones and the gluing checks
+    let it through; ``tangentcone.local_standard_basis``, which takes any
+    binomials, computes the basis with ``basis.standard_basis`` instead.
+    """
 
 
 class TheoremViolation(_Reproducible):

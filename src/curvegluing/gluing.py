@@ -22,7 +22,7 @@ from .hilbert import (HilbertData, certifies_defining_ideal,
                       local_hilbert_function, product_factorization_check)
 from .polyalg import (Polynomial, is_variable_name, negdegrevlex,
                       parse_polynomial)
-from .tangentcone import (TangentConeReport, local_standard_basis,
+from .tangentcone import (TangentConeReport, curve_standard_basis,
                           tangent_cone)
 from .toric import MonomialCurve, check_kernel_element, defining_ideal
 
@@ -316,7 +316,7 @@ def _leading_decomposition_ok(spec, rep1, rep2, rosales, glued) -> bool:
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     order = negdegrevlex(l + k, _theorem_priority(l, k))
-    got = set(local_standard_basis(rosales, order).leads)
+    got = set(curve_standard_basis(rosales, order).leads)
     expect = {(*m, *(0,) * k) for m in rep1.lm_set}
     expect |= {(*(0,) * l, *m) for m in rep2.lm_set}
     a1 = spec.a_witness.coefficients[0]

@@ -4,19 +4,27 @@ A semigroup is stored by its minimal generating set and read through its
 Apéry set Ap(S, m) with respect to the multiplicity m: n is a member exactly
 when n >= Ap[n mod m], the Frobenius number is max Ap - m, and symmetry is a
 property of Ap alone.  One cached table per generator tuple holds Ap(S, m)
-and the back-pointers that rebuild a representation.  Membership from that
-table also drives the order-filtration Hilbert oracle, which is deliberately
-independent of all polynomial machinery.
+and the back-pointers that rebuild a representation.  It is built by
+Böcker and Lipták's round robin (Algorithmica 48, 2007) in O(k*m) steps,
+and refused with :class:`WorkBudgetExceeded` before allocation when m
+exceeds ``MAX_MULTIPLICITY``.  Each back-pointer names a generator g with
+Ap[r] - g again an Apéry element, so following them from any Apéry element
+reaches 0.  Membership from that table also drives the order-filtration
+Hilbert oracle, which is deliberately independent of all polynomial
+machinery.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
 
-from .errors import EmptyGenerators, GcdNotOne, NonPositiveGenerator
+from .errors import (EmptyGenerators, GcdNotOne, NonPositiveGenerator,
+                     WorkBudgetExceeded)
+
+# the largest multiplicity whose Apéry table is built: one residue per entry
+MAX_MULTIPLICITY = 10**6
 
 
 @dataclass(frozen=True)
@@ -190,24 +198,46 @@ def _minimalize(gens: tuple[int, ...]) -> tuple[int, ...]:
 def _apery_table(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Ap(S, m) for m = gens[0], and per residue the last generator used.
 
-    Dijkstra over the residues mod m: the edge r -> r + g (mod m) costs g, so
-    the distance to r is the least member congruent to r (Nijenhuis 1979).
-    ``last[r]`` indexes the generator on the final edge of a shortest path,
-    so ``apery[r] - gens[last[r]]`` is again an Apéry element.
+    Round robin (Böcker & Lipták, *A fast and simple algorithm for the money
+    changing problem*, Algorithmica 48, 2007): ``apery[r]`` starts as the
+    least member of <m> congruent to r (0 for r = 0, none otherwise), and
+    each further generator g extends it to the least member of <m, ..., g>.
+    The residues split into gcd(g, m) cycles r -> r + g (mod m).  A walk
+    once round a cycle from its smallest value, relaxing r -> r + g, settles
+    the whole cycle: adding g to that value cannot improve it.  O(k*m) in
+    all, with no heap.
+
+    ``last[r]`` is set on each improvement to the generator that made it.
+    ``apery[r] - gens[last[r]]`` is then again an Apéry element, the one of
+    its residue: it is a member of that residue, and a smaller one would
+    give a member below ``apery[r]`` congruent to r.  ``contains`` walks
+    these back-pointers down to 0.
+
+    Raises :class:`WorkBudgetExceeded`, before allocating, when m exceeds
+    ``MAX_MULTIPLICITY``.
     """
     m = gens[0]
-    apery = [0] + [None] * (m - 1)
+    if m > MAX_MULTIPLICITY:
+        raise WorkBudgetExceeded(
+            f"Ap(S, {m}) needs a table of {m} residues; the budget is "
+            f"multiplicity <= {MAX_MULTIPLICITY}")
+    apery = [0] + [inf] * (m - 1)
     last = [-1] * m
-    heap = [(0, 0)]
-    while heap:
-        w, r = heapq.heappop(heap)
-        if w > apery[r]:
-            continue  # stale entry
-        for i, g in enumerate(gens):
-            t = w + g
-            s = t % m
-            if apery[s] is None or t < apery[s]:
-                apery[s] = t
-                last[s] = i
-                heapq.heappush(heap, (t, s))
+    for i in range(1, len(gens)):
+        g = gens[i]
+        d = gcd(g, m)
+        for start in range(d):
+            # the cycle through start holds the residues congruent to it mod d
+            r = min(range(start, m, d), key=apery.__getitem__)
+            w = apery[r]
+            if w == inf:
+                continue  # no member reaches this cycle yet
+            for _ in range(m // d - 1):
+                w += g
+                r = w % m
+                if w < apery[r]:
+                    apery[r] = w
+                    last[r] = i
+                else:
+                    w = apery[r]
     return tuple(apery), tuple(last)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import BasisResult, standard_basis
-from .errors import InvalidPriority
+from .errors import InvalidPriority, MonomialTimesUnit
 from .polyalg import (Mono, MonomialOrder, Polynomial, least_degree_form,
                       negdegrevlex)
 from .toric import (MonomialCurve, _complete_binomials, as_binomials,
@@ -58,7 +58,7 @@ def tangent_cone(C: MonomialCurve,
             f"(smallest generator {C.generators[smallest]})")
     order = negdegrevlex(C.nvars, priority)
     gens = defining_ideal(C) if ideal_gens is None else ideal_gens
-    basis = local_standard_basis(gens, order)
+    basis = curve_standard_basis(gens, order)
     witness = next((g for g, m in zip(basis.elements, basis.leads)
                     if m[smallest]), None)
     return TangentConeReport(
@@ -71,10 +71,15 @@ def tangent_cone(C: MonomialCurve,
     )
 
 
-def local_standard_basis(gens: list[Polynomial],
+def curve_standard_basis(gens: list[Polynomial],
                          order: MonomialOrder) -> BasisResult:
     """``basis.standard_basis``, computed on exponent pairs when every
-    generator is a pure difference binomial (a curve's ideal always is)."""
+    generator is a pure difference binomial (a curve's ideal always is).
+
+    On a curve's ideal the exponent-pair loop never meets a monomial times
+    a unit, so :class:`MonomialTimesUnit` here is a bug and reaches the
+    caller as the ``SelfCheckFailed`` it is.
+    """
     key = order.key
     pairs = as_binomials(gens, key)
     if pairs is None:
@@ -83,6 +88,20 @@ def local_standard_basis(gens: list[Polynomial],
     return BasisResult(tuple(Polynomial({lead: 1, trail: -1}, _clean=False)
                              for lead, trail in basis),
                        order, tuple(lead for lead, _ in basis))
+
+
+def local_standard_basis(gens: list[Polynomial],
+                         order: MonomialOrder) -> BasisResult:
+    """``curve_standard_basis`` for any generators.
+
+    Pure difference binomials of an ideal that is not graded, such as
+    1 - x1, can meet a monomial times a unit, which the exponent-pair loop
+    refuses; ``basis.standard_basis`` then computes the basis.
+    """
+    try:
+        return curve_standard_basis(gens, order)
+    except MonomialTimesUnit:
+        return standard_basis(gens, order)
 
 
 def cone_generators(C: MonomialCurve,

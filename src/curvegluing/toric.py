@@ -1,10 +1,20 @@
 """Defining ideals of monomial curves and complete-intersection detection.
 
-The curve t -> (t^n1, ..., t^nk) has a binomial prime kernel.  It is computed
-by adjoining the parameter t, completing <x_i - t^{n_i}> to a Groebner basis
-under a block order that eliminates t, keeping the t-free part,
-interreducing it and pruning redundant generators, which leaves a minimal
-presentation.
+The curve t -> (t^n1, ..., t^nk) has a binomial prime kernel.  With three or
+more generators it is computed by adjoining the parameter t, completing
+<x_i - t^{n_i}> to a Groebner basis under a block order that eliminates t,
+keeping the t-free part, interreducing it and pruning redundant generators,
+which leaves a minimal presentation.
+
+With two generators (a, b) nothing is eliminated.  <a, b> is N*b glued to
+N*a, whose presentation is the single bridge x1^b - x2^a (Rosales, *On
+presentations of subsemigroups of N^n*, Semigroup Forum 55, 1997).  The
+elimination gives the same list: the t-free part of an elimination basis
+is a Groebner basis of the kernel, and interreduced it is the reduced one,
+which for a principal ideal is its monic generator with the larger term
+leading.  Under degrevlex that is the term of larger degree, b against a,
+and the pruner keeps a lone generator.  With one generator, the line, the
+kernel is zero.
 
 Every polynomial on that path is a pure difference binomial x^a - x^b, so
 it runs on exponent pairs ``(lead, trail)`` and builds a ``Polynomial`` only
@@ -27,7 +37,7 @@ give on the same input, in the same order, for two reasons:
   pruner keeps the same generators.
 
 The same completion loop, with ``local=True``, gives the local-order
-standard bases behind the tangent cones (``tangentcone.local_standard_basis``)
+standard bases behind the tangent cones (``tangentcone.curve_standard_basis``)
 and lists what ``basis.standard_basis`` lists:
 
 - Mora's weak normal form.  Rewriting the leading term of x^a - x^b by
@@ -42,7 +52,10 @@ and lists what ``basis.standard_basis`` lists:
   homogeneous for the semigroup grading, where x^l and x^t would have
   different degrees, and a prime ideal without monomials would hold
   1 - x^(t-l) and with it 1.  Every binomial that becomes a reducer is
-  checked, and one of this shape raises :class:`SelfCheckFailed`.
+  checked, and one of this shape raises :class:`MonomialTimesUnit`, a
+  :class:`SelfCheckFailed`.  Only ``tangentcone.local_standard_basis``,
+  which takes any binomials, catches it and hands the generators to
+  ``basis.standard_basis``.
 """
 
 from __future__ import annotations
@@ -54,7 +67,8 @@ from operator import add, le, mul, sub
 from . import semigroup as sg
 from .basis import (_LeadIndex, buchberger, is_member_global,
                     normal_form_global)
-from .errors import ArityMismatch, NonHomogeneousBinomial, SelfCheckFailed
+from .errors import (ArityMismatch, MonomialTimesUnit,
+                     NonHomogeneousBinomial, SelfCheckFailed)
 from .polyalg import (Mono, Polynomial, degrevlex, elimination, m_deg,
                       minimal_indices)
 
@@ -99,11 +113,32 @@ def curve(raw_generators: list[int] | tuple[int, ...]) -> MonomialCurve:
 def defining_ideal(C: MonomialCurve) -> list[Polynomial]:
     """Generators of the kernel of x_i -> t^{n_i}, as monic binomials.
 
-    Eliminates the parameter from <x_i - t^{n_i}> under a block order, keeps
-    the parameter-free part, interreduces, and prunes generators that lie in
-    the ideal of the others.  Every output is checked against the semigroup
-    grading before being returned.
+    A curve on one generator (the line) has the zero kernel, and one on
+    generators (a, b) the single generator x1^b - x2^a, its larger-degree
+    term leading.  With three or more generators it eliminates the parameter
+    from <x_i - t^{n_i}> under a block order, keeps the parameter-free part,
+    interreduces, and prunes generators that lie in the ideal of the others.
+    Every output is checked against the semigroup grading before being
+    returned.
     """
+    k = C.nvars
+    if k == 2:
+        a, b = C.generators
+        # a != b, so the two terms differ in total degree
+        pruned = [((b, 0), (0, a)) if b > a else ((0, a), (b, 0))]
+    elif k > 2:
+        pruned = _eliminate(C)
+    else:
+        pruned = []
+    gens = [Polynomial({lead: 1, trail: -1}, _clean=False)
+            for lead, trail in pruned]
+    for g in gens:
+        check_kernel_element(g, C)
+    return gens
+
+
+def _eliminate(C: MonomialCurve) -> list[Binomial]:
+    """A minimal presentation of C by eliminating the parameter."""
     k = C.nvars
     gens = []  # t^{n_i} - x_i; slot 0 is the parameter
     for i, n in enumerate(C.generators):
@@ -120,13 +155,8 @@ def defining_ideal(C: MonomialCurve) -> list[Polynomial]:
     # on parameter-free monomials the block order is degrevlex(k), so every
     # pair keeps its orientation
     eliminated = _interreduce_binomials(eliminated, degrevlex(k).key)
-    pruned = _prune_redundant(
+    return _prune_redundant(
         eliminated, lambda g, rest: fiber_connected(*g, rest, C.generators))
-    gens = [Polynomial({lead: 1, trail: -1}, _clean=False)
-            for lead, trail in pruned]
-    for g in gens:
-        check_kernel_element(g, C)
-    return gens
 
 
 def _binomial_nf(a: Mono, b: Mono, reducers: list[Binomial],
@@ -242,7 +272,7 @@ def _ecart(lead: Mono, trail: Mono) -> int:
     than reduced (``basis._nf_mora`` rescales such a reducer).
     """
     if all(map(le, lead, trail)):
-        raise SelfCheckFailed(
+        raise MonomialTimesUnit(
             f"x^{lead} - x^{trail} is a monomial times a unit of the local "
             f"ring: the ideal is not graded or holds a monomial")
     return sum(trail) - sum(lead)

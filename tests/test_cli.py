@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -39,6 +40,14 @@ class TestSemigroupCommand:
         code, _, err = run_cli(capsys, "semigroup", "0,3")
         assert code == 1
         assert "NonPositiveGenerator" in err
+
+    def test_oversized_multiplicity_refused_fast(self, capsys):
+        # the Apéry table would hold one entry per residue mod 1000003
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "semigroup", "1000003", "1000004")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "[WorkBudget]" in err
 
     def test_non_integer_generator_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

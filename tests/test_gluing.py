@@ -394,10 +394,15 @@ class TestPresentationSize:
 
         monkeypatch.setattr(toric, "_complete_binomials", eliminating)
         monkeypatch.setattr(toric, "_prune_redundant", pruning)
-        spec = validate_gluing([5, 12], [7, 8], 17, 21)
-        report = verify_instance(spec, cross_check_ideal=True)
-        assert report.ideal_cross_check is True
-        assert arities and 4 not in arities  # the glued ring: 2 + 2 variables
+        # two-generator curves are presented without elimination, so the
+        # second gluing has a component, (6, 7, 15), that still eliminates
+        for s1, s2, p, q in (([5, 12], [7, 8], 17, 21),
+                             ([6, 7, 15], [2, 3], 13, 5)):
+            spec = validate_gluing(s1, s2, p, q)
+            report = verify_instance(spec, cross_check_ideal=True)
+            assert report.ideal_cross_check is True
+        # the glued rings: 2 + 2 and 3 + 2 variables
+        assert arities and 4 not in arities and 5 not in arities
 
     def test_no_polynomial_completion_on_the_verify_path(self, monkeypatch):
         import curvegluing.basis as basis

@@ -1,12 +1,16 @@
+import heapq
 import random
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
-from curvegluing.errors import EmptyGenerators, GcdNotOne, NonPositiveGenerator
+from curvegluing import semigroup
+from curvegluing.errors import (EmptyGenerators, GcdNotOne,
+                                NonPositiveGenerator, WorkBudgetExceeded)
 from curvegluing.semigroup import (NumericalSemigroup, Representation,
-                                   minimal_generators)
+                                   _apery_table, minimal_generators)
 
 
 class TestMinimalGenerators:
@@ -173,6 +177,82 @@ class TestFrobeniusApery:
                                default=-1)
             for r, w in enumerate(apery):
                 assert w == next(t for t in range(r, bound + 1, m) if member[t])
+
+
+class TestAperyTable:
+    """The round-robin table against Dijkstra, and its back-pointers."""
+
+    @pytest.mark.parametrize("gens", [
+        (1,), (2, 3), (6, 9, 10), (12, 18, 20, 27), (6, 10, 15),
+        (4, 6, 9), (10, 12, 15, 16, 17), (8, 12, 14, 19),
+    ])
+    def test_fixed_sets(self, gens):
+        # after the line and the cusp, gcd(g, m) > 1 for some further
+        # generator g: its residues split into several cycles, some of them
+        # unreached when it is walked
+        _check_apery_table(gens)
+
+    def test_random_generator_sets(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            gens = sorted(set(_random_gens(rng)))
+            _check_apery_table(tuple(gens))
+
+    def test_redundant_generators(self):
+        # ``_minimalize`` builds the table of a set before pruning it
+        rng = random.Random(43)
+        for _ in range(60):
+            gens = sorted(set(_random_gens(rng)))
+            gens = sorted(set(gens + [gens[0] + gens[-1], 2 * gens[1]]))
+            _check_apery_table(tuple(gens))
+
+
+def _check_apery_table(gens):
+    apery, last = _apery_table(gens)
+    m = gens[0]
+    assert apery == _dijkstra_apery(gens)
+    assert last[0] == -1
+    for r in range(m):
+        # every back-pointer leads from an Apéry element to another one,
+        # down to 0, and the generators used add up to where it started
+        w, coeffs = apery[r], [0] * len(gens)
+        while w:
+            i = last[w % m]
+            assert 0 < i < len(gens)
+            coeffs[i] += 1
+            w -= gens[i]
+            assert w == apery[w % m]
+        assert sum(map(mul, coeffs, gens)) == apery[r]
+
+
+def _dijkstra_apery(gens):
+    """Ap(S, gens[0]) as shortest paths: the edge r -> r + g costs g."""
+    m = gens[0]
+    dist = [None] * m
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if dist[r] is None:
+            dist[r] = w
+            for g in gens:
+                heapq.heappush(heap, (w + g, (w + g) % m))
+    return tuple(dist)
+
+
+class TestWorkBudget:
+    def test_oversized_multiplicity_refused(self):
+        big = semigroup.MAX_MULTIPLICITY + 1
+        with pytest.raises(WorkBudgetExceeded, match="WorkBudget"):
+            minimal_generators([big, big + 1])
+        with pytest.raises(WorkBudgetExceeded):
+            NumericalSemigroup((big, big + 1))
+
+    def test_the_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "MAX_MULTIPLICITY", 5)
+        build = _apery_table.__wrapped__  # no cached table
+        assert build((5, 7)) == ((0, 21, 7, 28, 14), (-1, 1, 1, 1, 1))
+        with pytest.raises(WorkBudgetExceeded):
+            build((6, 7))
 
 
 class TestSymmetry:

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from family_samples import random_nice_gluing, random_semigroup
 
-from curvegluing import toric
+from curvegluing import gluing, toric
 from curvegluing.basis import buchberger, standard_basis
-from curvegluing.errors import InvalidPriority, SelfCheckFailed
+from curvegluing.errors import (InvalidPriority, MonomialTimesUnit,
+                                SelfCheckFailed)
 from curvegluing.gluing import (_paper_priority, _theorem_priority,
                                 glued_curve, glued_ideal)
 from curvegluing.hilbert import local_hilbert_function
@@ -301,3 +302,43 @@ class TestMonomialTimesUnitRefused:
         with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
             toric._mora_nf((0, 1), (0, 3), reducers, ecarts, order.key)
         assert reducers == [((0, 1), (4, 0))] and ecarts == [3]
+
+    @pytest.mark.parametrize("texts", [
+        ("x3^2 - x2*x3", "1 - x3"),  # a generator is refused
+        ("x1 - x2", "x1 - x2^2"),  # a remainder is refused
+    ])
+    def test_local_standard_basis_falls_back(self, texts):
+        order = negdegrevlex(3)
+        gens = [parse_polynomial(t, ("x1", "x2", "x3")) for t in texts]
+        assert as_binomials(gens, order.key) is not None
+        got = local_standard_basis(gens, order)
+        want = standard_basis(gens, order)
+        assert got.leads == want.leads
+        assert [g.terms for g in got.elements] == \
+            [g.terms for g in want.elements]
+
+    def test_curve_callers_still_refuse(self, monkeypatch):
+        # on a curve's ideal a refused reducer is a bug: the cones and the
+        # gluing's leading-ideal check raise it, and only the entry point
+        # for any binomials falls back to basis.standard_basis
+        spec = gluing.validate_gluing([2, 3], [4, 5], 7, 8)
+        reps = [tangent_cone(C, _paper_priority(C.nvars))
+                for C in (gluing.component_curve(spec, 1),
+                          gluing.component_curve(spec, 2))]
+        rosales = glued_ideal(spec)
+        C = curve([6, 7, 15])
+        gens = defining_ideal(C)
+        order = negdegrevlex(C.nvars, canonical_priority(C))
+
+        def refuse(lead, trail):
+            raise MonomialTimesUnit("monomial times a unit (refused)")
+
+        monkeypatch.setattr(toric, "_ecart", refuse)
+        with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
+            tangent_cone(C)
+        with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
+            gluing._leading_decomposition_ok(spec, *reps, rosales,
+                                             glued_curve(spec))
+        with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
+            gluing.verify_instance(spec)
+        assert local_standard_basis(gens, order) == standard_basis(gens, order)

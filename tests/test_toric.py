@@ -1,5 +1,6 @@
 import random
 from itertools import combinations_with_replacement, product
+from math import gcd
 from operator import add, mul, sub
 
 import pytest
@@ -114,6 +115,31 @@ class TestAgainstPolynomialElimination:
         C = curve(gens)
         assert _listing(defining_ideal(C), C.names) == \
             _listing(_eliminate_and_prune(C), C.names)
+
+    def test_every_coprime_pair_in_both_binding_orders(self):
+        # two-generator curves are presented without elimination
+        for b in range(3, 60):
+            for a in range(2, b):
+                if gcd(a, b) != 1:
+                    continue
+                for gens in ((a, b), (b, a)):
+                    C = MonomialCurve(gens, ("x1", "x2"))
+                    assert _listing(defining_ideal(C), C.names) == \
+                        _listing(_eliminate_and_prune(C), C.names), gens
+
+    def test_line(self):
+        C = curve([1])
+        assert defining_ideal(C) == _eliminate_and_prune(C) == []
+
+    @pytest.mark.parametrize("gens", [(1,), (2, 3), (12, 5), (39, 40)])
+    def test_fewer_than_three_generators_do_not_eliminate(self, gens,
+                                                          monkeypatch):
+        def eliminating(*args, **kwargs):
+            raise AssertionError(f"{gens} eliminated")
+
+        monkeypatch.setattr(toric, "_complete_binomials", eliminating)
+        monkeypatch.setattr(toric, "_prune_redundant", eliminating)
+        defining_ideal(MonomialCurve(gens, ("x", "y")[:len(gens)]))
 
     def test_random_curves(self):
         rng = random.Random(89)
