@@ -10,13 +10,13 @@ from .basis import (BasisResult, buchberger, leading_ideal, mora_weak_nf,
 from .gluing import (FamilyTemplate, GluingSpec, VerificationReport,
                      glued_curve, glued_ideal, scan_family, validate_gluing,
                      verify_instance)
-from .hilbert import (HilbertData, hilbert_numerator, is_nondecreasing,
-                      local_hilbert_function, product_factorization_check)
+from .hilbert import (HilbertData, hilbert_numerator, local_hilbert_function,
+                      product_factorization_check)
 from .polyalg import (MonomialOrder, Polynomial, degrevlex, ecart, elimination,
                       leading_monomial, least_degree_form, negdegrevlex,
                       parse_polynomial, polynomial_to_str, spoly)
 from .semigroup import NumericalSemigroup, Representation, minimal_generators
-from .tangentcone import TangentConeReport, cone_generators, tangent_cone
+from .tangentcone import TangentConeReport, tangent_cone
 from .toric import (MonomialCurve, curve, defining_ideal,
                     is_complete_intersection, minimal_generator_count)
 
@@ -24,9 +24,9 @@ __all__ = [
     "BasisResult", "FamilyTemplate", "GluingSpec", "HilbertData",
     "MonomialCurve", "MonomialOrder", "NumericalSemigroup", "Polynomial",
     "Representation", "TangentConeReport", "VerificationReport",
-    "buchberger", "cone_generators", "curve", "defining_ideal", "degrevlex",
-    "ecart", "elimination", "glued_curve", "glued_ideal", "hilbert_numerator",
-    "is_complete_intersection", "is_nondecreasing", "leading_ideal",
+    "buchberger", "curve", "defining_ideal", "degrevlex", "ecart",
+    "elimination", "glued_curve", "glued_ideal", "hilbert_numerator",
+    "is_complete_intersection", "leading_ideal",
     "leading_monomial", "least_degree_form", "local_hilbert_function",
     "minimal_generator_count", "minimal_generators", "mora_weak_nf",
     "negdegrevlex", "parse_polynomial", "polynomial_to_str",

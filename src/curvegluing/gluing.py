@@ -22,9 +22,9 @@ from .hilbert import (HilbertData, certifies_defining_ideal,
                       local_hilbert_function, product_factorization_check)
 from .polyalg import (Polynomial, is_variable_name, negdegrevlex,
                       parse_polynomial)
-from .tangentcone import (TangentConeReport, curve_standard_basis,
-                          tangent_cone)
-from .toric import MonomialCurve, check_kernel_element, defining_ideal
+from .tangentcone import TangentConeReport, tangent_cone
+from .toric import (MonomialCurve, check_kernel_element, curve_standard_basis,
+                    defining_ideal)
 
 
 @dataclass(frozen=True)

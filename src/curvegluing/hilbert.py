@@ -65,29 +65,25 @@ def divide_by_one_minus_t(a: IntPoly) -> IntPoly:
 # --------------------------------------------------------------------------
 
 def hilbert_numerator(lms: list[Mono], nvars: int,
-                      pivot_rule: str = "frequent",
                       weights: tuple[int, ...] | None = None) -> IntPoly:
     """N(t) with Hilb(K[x]/<lms>) = N(t)/prod(1-t^{w_i}).
 
     ``weights`` gives the positive degree w_i of x_i, all ones by default
-    (the standard grading, where the denominator is (1-t)^nvars).
-    ``pivot_rule`` picks the splitting monomial: "frequent" uses the most
-    frequent variable at its lowest positive power, "first" the first
-    variable occurring in two generators.  The result is pivot-independent;
-    tests exercise both.
+    (the standard grading, where the denominator is (1-t)^nvars).  The
+    recursion splits on the most frequent variable at its lowest positive
+    power; the result does not depend on the pivot.
     """
     if weights is None:
         weights = (1,) * nvars
-    num = _sparse_numerator(lms, nvars, pivot_rule, tuple(weights))
+    num = _sparse_numerator(lms, nvars, tuple(weights))
     if not num:
         return [0]
     return [num.get(d, 0) for d in range(max(num) + 1)]
 
 
-def _sparse_numerator(lms, nvars: int, pivot_rule: str,
+def _sparse_numerator(lms, nvars: int,
                       weights: tuple[int, ...]) -> SparsePoly:
-    return _numerator(tuple(_minimalize_monomials(lms)), nvars, pivot_rule,
-                      weights)
+    return _numerator(tuple(_minimalize_monomials(lms)), nvars, weights)
 
 
 def _minimalize_monomials(lms) -> list[Mono]:
@@ -95,7 +91,7 @@ def _minimalize_monomials(lms) -> list[Mono]:
     return [lms[i] for i in minimal_indices(lms)]
 
 
-def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str,
+def _numerator(lms: tuple[Mono, ...], nvars: int,
                weights: tuple[int, ...]) -> SparsePoly:
     if not lms:
         return {0: 1}
@@ -106,7 +102,7 @@ def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str,
         for m in lms:
             out = _times_one_minus_power(out, _weighted_deg(m, weights))
         return out
-    var, power = _pick_pivot(lms, nvars, pivot_rule)
+    var, power = _pick_pivot(lms, nvars)
 
     plus: list[Mono] = [_var_power(var, power, nvars)]
     for m in lms:
@@ -117,8 +113,8 @@ def _numerator(lms: tuple[Mono, ...], nvars: int, pivot_rule: str,
         e = list(m)
         e[var] = max(0, e[var] - power)
         colon.append(tuple(e))
-    out = _sparse_numerator(plus, nvars, pivot_rule, weights)
-    n_colon = _sparse_numerator(colon, nvars, pivot_rule, weights)
+    out = _sparse_numerator(plus, nvars, weights)
+    n_colon = _sparse_numerator(colon, nvars, weights)
     _add_shifted(out, n_colon, 1, power * weights[var])
     return out
 
@@ -152,18 +148,13 @@ def _pairwise_coprime(lms) -> bool:
     return True
 
 
-def _pick_pivot(lms, nvars, pivot_rule) -> tuple[int, int]:
+def _pick_pivot(lms, nvars) -> tuple[int, int]:
     counts = [0] * nvars
     for m in lms:
         for v in range(nvars):
             if m[v]:
                 counts[v] += 1
-    if pivot_rule == "frequent":
-        var = max(range(nvars), key=lambda v: counts[v])
-    elif pivot_rule == "first":
-        var = next(v for v in range(nvars) if counts[v] >= 2)
-    else:
-        raise ValueError(f"unknown pivot rule {pivot_rule!r}")
+    var = max(range(nvars), key=lambda v: counts[v])
     power = min(m[var] for m in lms if m[var])
     return var, power
 
@@ -259,8 +250,7 @@ def certifies_defining_ideal(lms: list[Mono], C: MonomialCurve) -> bool:
     for n in C.generators:
         if n != m:
             rhs = _times_one_minus_power(rhs, n)
-    return _sparse_numerator(lms, C.nvars, "frequent",
-                             tuple(C.generators)) == rhs
+    return _sparse_numerator(lms, C.nvars, tuple(C.generators)) == rhs
 
 
 def nondecreasing_verdict(h: IntPoly) -> tuple[bool, int | None]:
@@ -269,10 +259,6 @@ def nondecreasing_verdict(h: IntPoly) -> tuple[bool, int | None]:
         if c < 0:
             return False, i
     return True, None
-
-
-def is_nondecreasing(data: HilbertData) -> bool:
-    return data.nondecreasing
 
 
 def product_factorization_check(glued: HilbertData, h1: IntPoly, h2: IntPoly,

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import BasisResult, standard_basis
-from .errors import InvalidPriority, MonomialTimesUnit
+from .basis import BasisResult
+from .errors import InvalidPriority
 from .polyalg import (Mono, MonomialOrder, Polynomial, least_degree_form,
                       negdegrevlex)
-from .toric import (MonomialCurve, _complete_binomials, as_binomials,
-                    defining_ideal)
+from .toric import MonomialCurve, curve_standard_basis, defining_ideal
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,10 @@ def tangent_cone(C: MonomialCurve,
 
     ``priority`` may reorder the upper variables but must keep the variable
     of the smallest generator lowest; ``ideal_gens`` can supply a known
-    generating set of the defining ideal to skip the elimination step.
+    generating set of the defining ideal to skip the elimination step.  Its
+    generators must be pure difference binomials x^a - x^b, as a curve's
+    ideal is generated (``toric.curve_standard_basis``); any other raises
+    ``NonBinomialGenerator``.
     """
     if priority is None:
         priority = canonical_priority(C)
@@ -69,42 +71,3 @@ def tangent_cone(C: MonomialCurve,
         is_cohen_macaulay=witness is None,
         witness=witness,
     )
-
-
-def curve_standard_basis(gens: list[Polynomial],
-                         order: MonomialOrder) -> BasisResult:
-    """``basis.standard_basis``, computed on exponent pairs when every
-    generator is a pure difference binomial (a curve's ideal always is).
-
-    On a curve's ideal the exponent-pair loop never meets a monomial times
-    a unit, so :class:`MonomialTimesUnit` here is a bug and reaches the
-    caller as the ``SelfCheckFailed`` it is.
-    """
-    key = order.key
-    pairs = as_binomials(gens, key)
-    if pairs is None:
-        return standard_basis(gens, order)
-    basis = _complete_binomials(pairs, key, local=True)
-    return BasisResult(tuple(Polynomial({lead: 1, trail: -1}, _clean=False)
-                             for lead, trail in basis),
-                       order, tuple(lead for lead, _ in basis))
-
-
-def local_standard_basis(gens: list[Polynomial],
-                         order: MonomialOrder) -> BasisResult:
-    """``curve_standard_basis`` for any generators.
-
-    Pure difference binomials of an ideal that is not graded, such as
-    1 - x1, can meet a monomial times a unit, which the exponent-pair loop
-    refuses; ``basis.standard_basis`` then computes the basis.
-    """
-    try:
-        return curve_standard_basis(gens, order)
-    except MonomialTimesUnit:
-        return standard_basis(gens, order)
-
-
-def cone_generators(C: MonomialCurve,
-                    priority: tuple[int, ...] | None = None) -> list[Polynomial]:
-    """Least-degree forms of a minimal standard basis; they generate the cone ideal."""
-    return list(tangent_cone(C, priority).cone_generators)

@@ -37,8 +37,11 @@ give on the same input, in the same order, for two reasons:
   pruner keeps the same generators.
 
 The same completion loop, with ``local=True``, gives the local-order
-standard bases behind the tangent cones (``tangentcone.curve_standard_basis``)
-and lists what ``basis.standard_basis`` lists:
+standard bases behind the tangent cones (:func:`curve_standard_basis`) and
+lists what ``basis.standard_basis`` lists.  It takes pure difference
+binomials only and refuses any other generator with
+:class:`NonBinomialGenerator`; ``basis.standard_basis`` takes any
+polynomials.
 
 - Mora's weak normal form.  Rewriting the leading term of x^a - x^b by
   x^l - x^t again leaves a pure difference binomial, so each step moves one
@@ -47,15 +50,11 @@ and lists what ``basis.standard_basis`` lists:
   of least ecart whose lead divides, and the binomial joins the reducers
   first when that ecart exceeds its own, as in ``basis._nf_mora``.
 - No monomial times a unit.  A reducer x^l - x^t with l | t is x^l times
-  the unit 1 - x^(t-l) of the local ring; ``basis._nf_mora`` rescales such
-  a reducer.  It cannot occur here: every binomial of a curve's ideal is
-  homogeneous for the semigroup grading, where x^l and x^t would have
-  different degrees, and a prime ideal without monomials would hold
-  1 - x^(t-l) and with it 1.  Every binomial that becomes a reducer is
-  checked, and one of this shape raises :class:`MonomialTimesUnit`, a
-  :class:`SelfCheckFailed`.  Only ``tangentcone.local_standard_basis``,
-  which takes any binomials, catches it and hands the generators to
-  ``basis.standard_basis``.
+  the unit 1 - x^(t-l) of the local ring.  No binomial of a curve's ideal
+  has that shape: it is homogeneous for the semigroup grading, where x^l
+  and x^t would have different degrees.  Every binomial that becomes a
+  reducer is checked, and one of this shape raises
+  :class:`SelfCheckFailed`.
 """
 
 from __future__ import annotations
@@ -65,12 +64,12 @@ from dataclasses import dataclass, field
 from operator import add, le, mul, sub
 
 from . import semigroup as sg
-from .basis import (_LeadIndex, buchberger, is_member_global,
+from .basis import (BasisResult, _LeadIndex, buchberger, is_member_global,
                     normal_form_global)
-from .errors import (ArityMismatch, MonomialTimesUnit,
+from .errors import (ArityMismatch, NonBinomialGenerator,
                      NonHomogeneousBinomial, SelfCheckFailed)
-from .polyalg import (Mono, Polynomial, degrevlex, elimination, m_deg,
-                      minimal_indices)
+from .polyalg import (Mono, MonomialOrder, Polynomial, degrevlex, elimination,
+                      m_deg, minimal_indices)
 
 Binomial = tuple[Mono, Mono]  # (lead, trail): the monic x^lead - x^trail
 
@@ -193,20 +192,6 @@ def _monomial_nf(b: Mono, reducers: list[Binomial]) -> Mono:
             return b
 
 
-def as_binomials(gens: list[Polynomial], key) -> list[Binomial] | None:
-    """Each generator, a pure difference binomial ±(x^a - x^b), as its pair
-    (lead, trail) under ``key``; None when some generator is not one."""
-    pairs = []
-    for g in gens:
-        if len(g.terms) != 2:
-            return None
-        (a, ca), (b, cb) = g.terms.items()
-        if ca + cb or abs(ca) != 1:
-            return None
-        pairs.append((a, b) if key(a) > key(b) else (b, a))
-    return pairs
-
-
 def _interreduce_binomials(gens: list[Binomial], key) -> list[Binomial]:
     """``basis.interreduce_global`` on monic binomials, sweep for sweep."""
     elems = list(gens)
@@ -264,6 +249,31 @@ def _complete_binomials(gens: list[Binomial], key,
     return [polys[i] for i in minimal_indices(leads.lms)]
 
 
+def curve_standard_basis(gens: list[Polynomial],
+                         order: MonomialOrder) -> BasisResult:
+    """What ``basis.standard_basis`` gives under the local ``order``, for
+    pure difference binomials such as a curve's ideal, on exponent pairs.
+
+    A generator that is not ±(x^a - x^b) raises
+    :class:`NonBinomialGenerator` naming it.  On a curve's ideal the loop
+    never meets a monomial times a unit; meeting one raises
+    ``SelfCheckFailed``.
+    """
+    key = order.key
+    pairs = []
+    for i, g in enumerate(gens):
+        if sorted(g.terms.values()) != [-1, 1]:
+            raise NonBinomialGenerator(
+                f"generator {i + 1} of {len(gens)}, {g!r}, is not a pure "
+                f"difference binomial x^a - x^b")
+        a, b = g.terms
+        pairs.append((a, b) if key(a) > key(b) else (b, a))
+    basis = _complete_binomials(pairs, key, local=True)
+    return BasisResult(tuple(Polynomial({lead: 1, trail: -1}, _clean=False)
+                             for lead, trail in basis),
+                       order, tuple(lead for lead, _ in basis))
+
+
 def _ecart(lead: Mono, trail: Mono) -> int:
     """Ecart of x^lead - x^trail under a local degree order.
 
@@ -272,7 +282,7 @@ def _ecart(lead: Mono, trail: Mono) -> int:
     than reduced (``basis._nf_mora`` rescales such a reducer).
     """
     if all(map(le, lead, trail)):
-        raise MonomialTimesUnit(
+        raise SelfCheckFailed(
             f"x^{lead} - x^{trail} is a monomial times a unit of the local "
             f"ring: the ideal is not graded or holds a monomial")
     return sum(trail) - sum(lead)

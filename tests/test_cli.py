@@ -161,6 +161,34 @@ class TestGlueVerifyCommands:
         assert "GcdViolation" in err
 
 
+VERIFY_PATH_LINES = [
+    "verify --s1 5,12 --s2 7,8 --p 17 --q 21",
+    "verify --s1 5,12 --s2 7,8 --p 17 --q 21 --no-cross-check",
+    "verify --s1 2,3 --s2 4,5 --p 7 --q 8",
+    "verify --s1 2,3 --s2 4,5 --p 7 --q 8 --no-cross-check",
+    "verify --s1 6,7,15 --s2 1 --p 13 --q 2",
+    "tangent-cone 6 7 15",
+    "hilbert 6 7 15",
+    "ideal 6 7 15",
+]
+
+
+@pytest.mark.parametrize("line", VERIFY_PATH_LINES)
+def test_curve_commands_never_enter_the_polynomial_engine(line, capsys,
+                                                          monkeypatch):
+    # curve ideals run on exponent pairs alone; basis.py serves only
+    # ideal --raw, so its completion and both normal forms must stay idle
+    import curvegluing.basis as basis
+
+    def idle(*args, **kwargs):
+        raise AssertionError("the Polynomial engine ran on a curve command")
+
+    for name in ("_complete", "_nf_mora", "_nf_global"):
+        monkeypatch.setattr(basis, name, idle)
+    code, out, _ = run_cli(capsys, *line.split())
+    assert code == 0 and out
+
+
 class TestJsonContract:
     def test_round_trip_stable(self, capsys):
         code, out, _ = run_cli(capsys, "tangent-cone", "2", "3", "--json")

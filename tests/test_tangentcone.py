@@ -9,7 +9,7 @@ from family_samples import random_nice_gluing, random_semigroup
 
 from curvegluing import gluing, toric
 from curvegluing.basis import buchberger, standard_basis
-from curvegluing.errors import (InvalidPriority, MonomialTimesUnit,
+from curvegluing.errors import (InvalidPriority, NonBinomialGenerator,
                                 SelfCheckFailed)
 from curvegluing.gluing import (_paper_priority, _theorem_priority,
                                 glued_curve, glued_ideal)
@@ -18,9 +18,9 @@ from curvegluing.polyalg import (Polynomial, degrevlex, leading_term,
                                  least_degree_form, negdegrevlex,
                                  parse_polynomial, polynomial_to_str)
 from curvegluing.semigroup import minimal_generators
-from curvegluing.tangentcone import (canonical_priority, local_standard_basis,
-                                     tangent_cone)
-from curvegluing.toric import MonomialCurve, as_binomials, curve, defining_ideal
+from curvegluing.tangentcone import canonical_priority, tangent_cone
+from curvegluing.toric import (MonomialCurve, curve, curve_standard_basis,
+                               defining_ideal)
 
 GLUED_22 = MonomialCurve((105, 252, 119, 136), ("x1", "x2", "y1", "y2"))
 
@@ -165,8 +165,7 @@ def _listing(elements, names, order):
 
 def assert_same_basis(gens, order, names):
     """The exponent-pair completion lists what ``standard_basis`` lists."""
-    assert as_binomials(gens, order.key) is not None  # the pair path runs
-    got = local_standard_basis(gens, order)
+    got = curve_standard_basis(gens, order)
     want = standard_basis(gens, order)
     assert got.order == want.order and got.leads == want.leads
     assert _listing(got.elements, names, order) == \
@@ -174,7 +173,7 @@ def assert_same_basis(gens, order, names):
 
 
 class TestBinomialStandardBasis:
-    """``local_standard_basis`` runs ``toric._complete_binomials`` with
+    """``toric.curve_standard_basis`` runs ``toric._complete_binomials`` with
     ``local=True`` on pure difference binomials; ``basis.standard_basis`` on
     the same generators is the reference, element by element."""
 
@@ -240,15 +239,18 @@ class TestBinomialStandardBasis:
         assert_same_basis([Polynomial({a: 1, b: -1}) for a, b in pairs],
                           negdegrevlex(4, priority), ("x1", "x2", "x3", "x4"))
 
-    def test_other_generators_take_the_polynomial_path(self):
+    def test_other_generators_are_refused(self):
         C = curve([2, 3])
         (g,) = defining_ideal(C)
         order = negdegrevlex(2, canonical_priority(C))
         x = Polynomial.variable(0, 2)
         for gens in ([g * g], [x], [g, x], [g.scale(2)]):
-            assert as_binomials(gens, order.key) is None
-            assert local_standard_basis(gens, order) == \
-                standard_basis(gens, order)
+            with pytest.raises(NonBinomialGenerator) as exc:
+                curve_standard_basis(gens, order)
+            # the refusal names the offending generator
+            assert repr(gens[-1]) in str(exc.value)
+            with pytest.raises(NonBinomialGenerator):
+                tangent_cone(C, ideal_gens=gens)
 
 
 class TestLeadsAreTheLeadingMonomials:
@@ -260,18 +262,20 @@ class TestLeadsAreTheLeadingMonomials:
     def test_every_engine(self, data):
         n = data.draw(st.integers(2, 3))
         gens = draw_homogeneous_binomials(data, n)
-        if data.draw(st.booleans()):
-            # any other polynomial sends local_standard_basis to the
-            # Polynomial engine
+        extra = data.draw(st.booleans())
+        if extra:
+            # any other polynomial is for the Polynomial engines alone
             monos = st.tuples(*[st.integers(0, 3)] * n)
             coeffs = st.integers(-3, 3).filter(bool)
             gens.append(Polynomial(data.draw(st.dictionaries(
                 monos, coeffs, min_size=1, max_size=3))))
         priority = tuple(data.draw(st.permutations(range(n))))
         local = negdegrevlex(n, priority)
-        for result in (buchberger(gens, degrevlex(n, priority)),
-                       standard_basis(gens, local),
-                       local_standard_basis(gens, local)):
+        results = [buchberger(gens, degrevlex(n, priority)),
+                   standard_basis(gens, local)]
+        if not extra:
+            results.append(curve_standard_basis(gens, local))
+        for result in results:
             assert result.leads == tuple(leading_term(g, result.order)[0]
                                          for g in result.elements)
 
@@ -289,8 +293,7 @@ class TestMonomialTimesUnitRefused:
     def test_remainder(self):
         # S(x1 - x2, x1 - x2^2) = x2^2 - x2, irreducible: x2 * (x2 - 1)
         order = negdegrevlex(2)
-        gens = as_binomials([parse_polynomial(t, ("x1", "x2"))
-                             for t in ("x1 - x2", "x1 - x2^2")], order.key)
+        gens = [((1, 0), (0, 1)), ((1, 0), (0, 2))]
         with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
             toric._complete_binomials(gens, order.key, local=True)
 
@@ -303,35 +306,18 @@ class TestMonomialTimesUnitRefused:
             toric._mora_nf((0, 1), (0, 3), reducers, ecarts, order.key)
         assert reducers == [((0, 1), (4, 0))] and ecarts == [3]
 
-    @pytest.mark.parametrize("texts", [
-        ("x3^2 - x2*x3", "1 - x3"),  # a generator is refused
-        ("x1 - x2", "x1 - x2^2"),  # a remainder is refused
-    ])
-    def test_local_standard_basis_falls_back(self, texts):
-        order = negdegrevlex(3)
-        gens = [parse_polynomial(t, ("x1", "x2", "x3")) for t in texts]
-        assert as_binomials(gens, order.key) is not None
-        got = local_standard_basis(gens, order)
-        want = standard_basis(gens, order)
-        assert got.leads == want.leads
-        assert [g.terms for g in got.elements] == \
-            [g.terms for g in want.elements]
-
     def test_curve_callers_still_refuse(self, monkeypatch):
-        # on a curve's ideal a refused reducer is a bug: the cones and the
-        # gluing's leading-ideal check raise it, and only the entry point
-        # for any binomials falls back to basis.standard_basis
+        # on a curve's ideal a refused reducer is a bug: the cones, the
+        # gluing's leading-ideal check and verify_instance raise it
         spec = gluing.validate_gluing([2, 3], [4, 5], 7, 8)
         reps = [tangent_cone(C, _paper_priority(C.nvars))
                 for C in (gluing.component_curve(spec, 1),
                           gluing.component_curve(spec, 2))]
         rosales = glued_ideal(spec)
         C = curve([6, 7, 15])
-        gens = defining_ideal(C)
-        order = negdegrevlex(C.nvars, canonical_priority(C))
 
         def refuse(lead, trail):
-            raise MonomialTimesUnit("monomial times a unit (refused)")
+            raise SelfCheckFailed("monomial times a unit (refused)")
 
         monkeypatch.setattr(toric, "_ecart", refuse)
         with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
@@ -341,4 +327,3 @@ class TestMonomialTimesUnitRefused:
                                              glued_curve(spec))
         with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
             gluing.verify_instance(spec)
-        assert local_standard_basis(gens, order) == standard_basis(gens, order)
