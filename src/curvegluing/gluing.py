@@ -6,11 +6,21 @@ the smallest generator of the second semigroup, with multiplicity bounded by
 the coefficient sum of a representation of p.  Instances are verified by
 computing all tangent cones and Hilbert functions on both the component and
 the glued side and checking every conclusion the hypotheses promise.
+
+A family fixes both components and varies p and q, so each component's
+analysis (presentation, tangent cone, Hilbert data) is cached per process,
+as ``semigroup._apery_table`` caches the Apéry table.  The key is the
+component's generator tuple, its block (x or y) and the Hilbert-function
+prefix length.  One ``verify`` CLI call gains nothing; scans and library
+loops over many gluings do.  Of the component slots in one pass of each
+benchmark workload, 96 of 100 repeat an earlier one in ``scan_xcheck``,
+432 of 436 in ``scan_plain`` and 222 of 400 in ``nice_sweep``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from . import semigroup as sg
@@ -122,20 +132,21 @@ def glued_curve(spec: GluingSpec) -> MonomialCurve:
 
 
 def glued_ideal(spec: GluingSpec,
-                g1: list[Polynomial] | None = None,
-                g2: list[Polynomial] | None = None) -> list[Polynomial]:
+                g1: tuple[Polynomial, ...] | None = None,
+                g2: tuple[Polynomial, ...] | None = None) -> list[Polynomial]:
     """Generators of the glued defining ideal: G1, G2, and the bridge binomial.
 
-    ``g1``/``g2`` default to the computed defining ideals of the component
-    curves; pass explicit lists to reuse known generators.  Component
-    polynomials are re-indexed into the joint ring (x-block first).
+    ``g1``/``g2`` default to the defining ideals of the component curves,
+    read from :func:`_component_analysis`; pass explicit generators to reuse
+    known ones.  Component polynomials are re-indexed into the joint ring
+    (x-block first).
     """
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     if g1 is None:
-        g1 = defining_ideal(component_curve(spec, 1))
+        g1 = _component_analysis(spec.s1.generators, 1, None)[0]
     if g2 is None:
-        g2 = defining_ideal(component_curve(spec, 2))
+        g2 = _component_analysis(spec.s2.generators, 2, None)[0]
     out = [_embed(g, before=0, after=k) for g in g1]
     out += [_embed(g, before=l, after=0) for g in g2]
     bridge_x = tuple(spec.b_witness.coefficients) + (0,) * k
@@ -145,13 +156,35 @@ def glued_ideal(spec: GluingSpec,
 
 
 def component_curve(spec: GluingSpec, which: int) -> MonomialCurve:
-    if which == 1:
-        gens = spec.s1.generators
-        names = tuple(f"x{i + 1}" for i in range(len(gens)))
-    else:
-        gens = spec.s2.generators
-        names = tuple(f"y{j + 1}" for j in range(len(gens)))
-    return MonomialCurve(gens, names)
+    gens = spec.s1.generators if which == 1 else spec.s2.generators
+    return _block_curve(gens, which)
+
+
+def _block_curve(gens: tuple[int, ...], which: int) -> MonomialCurve:
+    letter = "x" if which == 1 else "y"
+    return MonomialCurve(gens, tuple(f"{letter}{i + 1}"
+                                     for i in range(len(gens))))
+
+
+@lru_cache(maxsize=1024)
+def _component_analysis(gens: tuple[int, ...], which: int,
+                        hf_prefix_len: int | None
+                        ) -> tuple[tuple[Polynomial, ...], TangentConeReport,
+                                   HilbertData]:
+    """Presentation, tangent cone and Hilbert data of a component curve.
+
+    ``which`` names the block (1: x1.., 2: y1..).  The cone is taken in the
+    index order (v2 > ... > vn > v1), and the data has passed
+    :func:`_self_check_cm_multiplicity`.  Computed once per process for each
+    key; an exception is not cached, so a failing component raises on every
+    call.
+    """
+    C = _block_curve(gens, which)
+    ideal = tuple(defining_ideal(C))
+    rep = tangent_cone(C, priority=_paper_priority(C.nvars), ideal_gens=ideal)
+    hd = local_hilbert_function(C, hf_prefix_len, report=rep)
+    _self_check_cm_multiplicity(rep, hd)
+    return ideal, rep, hd
 
 
 def _embed(g: Polynomial, before: int, after: int) -> Polynomial:
@@ -219,16 +252,8 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
     ``complete_intersection`` is the presentation size: minimal G1 and G2 and
     the bridge form a minimal presentation of the gluing (Rosales 1997).
     """
-    c1 = component_curve(spec, 1)
-    c2 = component_curve(spec, 2)
-    g1 = defining_ideal(c1)
-    g2 = defining_ideal(c2)
-    rep1 = tangent_cone(c1, priority=_paper_priority(c1.nvars), ideal_gens=g1)
-    rep2 = tangent_cone(c2, priority=_paper_priority(c2.nvars), ideal_gens=g2)
-    hd1 = local_hilbert_function(c1, hf_prefix_len, report=rep1)
-    hd2 = local_hilbert_function(c2, hf_prefix_len, report=rep2)
-    _self_check_cm_multiplicity(rep1, hd1)
-    _self_check_cm_multiplicity(rep2, hd2)
+    g1, rep1, hd1 = _component_analysis(spec.s1.generators, 1, hf_prefix_len)
+    g2, rep2, hd2 = _component_analysis(spec.s2.generators, 2, hf_prefix_len)
 
     glued = glued_curve(spec)
     rosales = glued_ideal(spec, g1, g2)

@@ -1,12 +1,16 @@
-"""A time limit of its own for every test.
+"""A time limit of its own for every test, and a cold component cache.
 
 A stalled test then fails with a traceback at the line it was stuck on,
-and the rest of the suite still runs.
+and the rest of the suite still runs.  Each test starts with
+``gluing._component_analysis`` empty, so a spy on the component
+computations sees them whatever ran before.
 """
 
 import signal
 
 import pytest
+
+from curvegluing import gluing
 
 # the slowest test takes about 3 s on a 2-vCPU machine
 TIME_LIMIT_S = 60
@@ -32,3 +36,8 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def cold_component_cache():
+    gluing._component_analysis.cache_clear()

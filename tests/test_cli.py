@@ -450,36 +450,3 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "frobenius: 1" in proc.stdout
 
-
-README_LINES = [
-    "semigroup 2 3 4",
-    "ideal 6 7 15",
-    'ideal --raw x1^5 - x3^2; x1*x3 - x2^3 --local --order x2,x3,x1',
-    "tangent-cone 6 7 15",
-    "hilbert 6 7 15 --limit 6",
-    "glue --s1 5,12 --s2 7,8 --p 17 --q 21",
-    "verify --s1 5,12 --s2 7,8 --p 17 --q 21",
-    "verify --s1 2,3 --s2 4,5 --p 7 --q 8",
-    "scan --config configs/family_q.json",
-    "scan --config configs/family_r.json --jobs 2",
-]
-
-
-@pytest.mark.parametrize("line", README_LINES)
-def test_every_documented_command_line_runs(line, capsys, monkeypatch):
-    # the same invocations the README documents, run from the repo root
-    from pathlib import Path
-
-    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-    argv = _split_documented(line)
-    assert main(argv) == 0
-    assert capsys.readouterr().out.strip()
-
-
-def _split_documented(line):
-    # --raw takes one quoted argument in the shell; reassemble it here
-    if "--raw" in line:
-        head, rest = line.split("--raw ", 1)
-        raw, tail = rest.split(" --local", 1)
-        return [*head.split(), "--raw", raw.strip(), "--local", *tail.split()]
-    return line.split()

@@ -645,3 +645,66 @@ class TestScan:
         spec = validate_gluing([2, 3], [4, 5], 7, 8)
         record = report_to_record(verify_instance(spec))
         assert json.loads(json.dumps(record)) == record
+
+
+class TestComponentCache:
+    """Each component is analysed once per process, failures every time."""
+
+    @staticmethod
+    def spy(monkeypatch, name, modules):
+        seen = []
+        real = getattr(modules[-1], name)
+
+        def spying(C, *args, **kwargs):
+            seen.append(C.generators)
+            return real(C, *args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, spying)
+        return seen
+
+    def test_second_gluing_reuses_both_components(self, monkeypatch):
+        import curvegluing.gluing as gl
+        import curvegluing.tangentcone as tc
+        import curvegluing.toric as toric
+
+        first = validate_gluing([5, 12], [7, 8], 17, 21)
+        second = validate_gluing([5, 12], [7, 8], 22, 23)
+        cold = report_to_record(verify_instance(second))
+        gl._component_analysis.cache_clear()
+        verify_instance(first)
+        eliminated = self.spy(monkeypatch, "defining_ideal", (gl, tc, toric))
+        cones = self.spy(monkeypatch, "tangent_cone", (gl, tc))
+        warm = report_to_record(verify_instance(second))
+        glued = second.glued_generators
+        assert eliminated == [] and cones == [glued]
+        assert warm == cold
+
+    def test_family_scan_presents_each_component_once(self, monkeypatch):
+        import curvegluing.gluing as gl
+        import curvegluing.tangentcone as tc
+        import curvegluing.toric as toric
+
+        eliminated = self.spy(monkeypatch, "defining_ideal", (gl, tc, toric))
+        tpl = FamilyTemplate.from_config(
+            json.loads((CONFIGS / "family_q.json").read_text()))
+        records = scan_family(tpl)
+        assert sum(not r["skipped"] for r in records) > 2
+        assert sorted(eliminated) == [(1,), (6, 7, 15)]
+
+    def test_failing_component_raises_on_every_call(self, monkeypatch):
+        import curvegluing.gluing as gl
+        import curvegluing.tangentcone as tc
+        import curvegluing.toric as toric
+
+        def refuse(lead, trail):
+            raise SelfCheckFailed("monomial times a unit (refused)")
+
+        monkeypatch.setattr(toric, "_ecart", refuse)
+        cones = self.spy(monkeypatch, "tangent_cone", (gl, tc))
+        spec = validate_gluing([2, 3], [4, 5], 7, 8)
+        for _ in range(2):
+            with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
+                verify_instance(spec)
+        # the first component's cone fails, and is tried again, both times
+        assert cones == [(2, 3), (2, 3)]
