@@ -47,11 +47,16 @@ def curves() -> list[list[int]]:
 
 def digest(command: str, gens: list[int]) -> list:
     """[sha256 of stdout, exit code] of ``command <gens> --json``."""
+    return digest_argv([command, ",".join(map(str, gens)), "--json"])
+
+
+def digest_argv(argv: list[str]) -> list:
+    """[sha256 of stdout, exit code] of the CLI on ``argv``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = main([command, ",".join(map(str, gens)), "--json"])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     return [hashlib.sha256(out.getvalue().encode()).hexdigest(), code]
