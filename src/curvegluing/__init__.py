@@ -17,15 +17,15 @@ from .polyalg import (MonomialOrder, Polynomial, degrevlex, ecart, elimination,
                       parse_polynomial, polynomial_to_str, spoly)
 from .semigroup import NumericalSemigroup, Representation, minimal_generators
 from .tangentcone import TangentConeReport, tangent_cone
-from .toric import (MonomialCurve, curve, defining_ideal,
+from .toric import (MonomialCurve, as_polynomial, curve, defining_ideal,
                     is_complete_intersection, minimal_generator_count)
 
 __all__ = [
     "BasisResult", "FamilyTemplate", "GluingSpec", "HilbertData",
     "MonomialCurve", "MonomialOrder", "NumericalSemigroup", "Polynomial",
     "Representation", "TangentConeReport", "VerificationReport",
-    "buchberger", "curve", "defining_ideal", "degrevlex", "ecart",
-    "elimination", "glued_curve", "glued_ideal", "hilbert_numerator",
+    "as_polynomial", "buchberger", "curve", "defining_ideal", "degrevlex",
+    "ecart", "elimination", "glued_curve", "glued_ideal", "hilbert_numerator",
     "is_complete_intersection", "leading_ideal",
     "leading_monomial", "least_degree_form", "local_hilbert_function",
     "minimal_generator_count", "minimal_generators", "mora_weak_nf",

@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import NonGlobalOrder, NonLocalOrder
+from .errors import NonGlobalOrder, NonLocalOrder, WorkBudgetExceeded
 from .polyalg import (Coeff, Mono, MonomialOrder, Polynomial, exact_quotient,
                       leading_term, m_deg, m_div, m_divides,
                       minimal_indices, monic, spoly)
@@ -30,9 +30,6 @@ class BasisResult:
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
     leads: tuple[Mono, ...]
-
-    def leading_monomials(self) -> list[Mono]:
-        return list(self.leads)
 
 
 class _Reducers:
@@ -112,6 +109,14 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder,
 # Mora weak normal form (local orders)
 # --------------------------------------------------------------------------
 
+# Reduction steps one Mora normal form may take.  Mora's loop terminates,
+# but its coefficients can grow so fast that it takes minutes: on one
+# input the 800th step came after 2 s and the 1000th after 37 s.  On the
+# test suite's random ideals no normal form of pure difference binomials
+# took more than 11 steps, and none of the exactness test more than 295.
+MORA_STEP_BUDGET = 500
+
+
 def mora_weak_nf(f: Polynomial, basis: list[Polynomial], order: MonomialOrder,
                  return_unit: bool = False):
     """Mora remainder r with u*f = sum q_i g_i + r for a unit u.
@@ -120,7 +125,9 @@ def mora_weak_nf(f: Polynomial, basis: list[Polynomial], order: MonomialOrder,
     whenever the chosen reducer has larger ecart; that is what makes the
     procedure terminate for local orders.  Either r = 0 or LM(r) is divisible
     by no basis LM.  With ``return_unit`` the pair (r, u) is returned; u has
-    constant term 1.
+    constant term 1.  A remainder that takes more than ``MORA_STEP_BUDGET``
+    reduction steps raises ``WorkBudgetExceeded``, here and in
+    ``standard_basis``.
     """
     if not order.is_local:
         raise NonLocalOrder("mora_weak_nf needs a local order")
@@ -152,6 +159,7 @@ def _nf_mora(f: Polynomial, red: _Reducers, return_unit: bool = False):
 
     h = f
     u = one
+    steps = 0
     while h.terms:
         mh, ch = leading_term(h, order)
         lms = red.lms
@@ -164,6 +172,11 @@ def _nf_mora(f: Polynomial, red: _Reducers, return_unit: bool = False):
                     best, best_e = i, e
         if best < 0:
             break
+        steps += 1
+        if steps > MORA_STEP_BUDGET:
+            raise WorkBudgetExceeded(
+                f"Mora's normal form ran past its budget of "
+                f"{MORA_STEP_BUDGET} reduction steps")
         ecart_h = max(m_deg(t) for t in h.terms) - m_deg(mh)
         if best_e > ecart_h:
             red.add(h)
@@ -171,7 +184,7 @@ def _nf_mora(f: Polynomial, red: _Reducers, return_unit: bool = False):
         t_coeff = exact_quotient(ch, red.lcs[best])
         t_mono = m_div(mh, red.lms[best])
         h = h - red.polys[best].mul_term(t_coeff, t_mono)
-        if best >= n_fixed:
+        if return_unit and best >= n_fixed:
             u = u - tail_units[best - n_fixed].mul_term(t_coeff, t_mono)
     if scale is not one:
         h, u = h * scale, u * scale

@@ -22,7 +22,7 @@ from .hilbert import local_hilbert_function
 from .polyalg import (degrevlex, infer_variable_names, is_variable_name,
                       negdegrevlex, parse_polynomial, polynomial_to_str)
 from .tangentcone import tangent_cone
-from .toric import MonomialCurve, defining_ideal
+from .toric import MonomialCurve, as_polynomial, defining_ideal
 from .toric import curve as make_curve
 
 SCHEMA = 1
@@ -222,7 +222,8 @@ def cmd_ideal(args) -> dict:
     return {
         "curve": list(C.generators),
         "variables": list(C.names),
-        "generators": [polynomial_to_str(g, C.names) for g in gens],
+        "generators": [polynomial_to_str(as_polynomial(g), C.names)
+                       for g in gens],
         "minimal_generator_count": len(gens),
         "complete_intersection": len(gens) == C.nvars - 1,
     }
@@ -252,8 +253,7 @@ def _raw_basis(args) -> dict:
         "variables": list(names),
         "order": "negdegrevlex" if args.local else "degrevlex",
         "basis": [polynomial_to_str(g, names, order) for g in result.elements],
-        "leading_monomials": [_mono_str(m, names)
-                              for m in result.leading_monomials()],
+        "leading_monomials": [_mono_str(m, names) for m in result.leads],
     }
 
 
@@ -270,13 +270,14 @@ def _tangent_cone_payload(C: MonomialCurve, rep) -> dict:
         "curve": list(C.generators),
         "variables": list(names),
         "priority": [names[v] for v in rep.order.priority],
-        "standard_basis": [polynomial_to_str(g, names, rep.order)
-                           for g in rep.basis.elements],
+        "standard_basis": [polynomial_to_str(as_polynomial(g), names,
+                                             rep.order) for g in rep.basis],
         "leading_monomials": [_mono_str(m, names) for m in rep.lm_set],
         "cone_generators": [polynomial_to_str(g, names, rep.order)
                             for g in rep.cone_generators],
         "cohen_macaulay": rep.is_cohen_macaulay,
-        "witness": (polynomial_to_str(rep.witness, names, rep.order)
+        "witness": (polynomial_to_str(as_polynomial(rep.witness), names,
+                                      rep.order)
                     if rep.witness is not None else None),
     }
 
@@ -315,7 +316,7 @@ def cmd_glue(args) -> dict:
     spec = gl.validate_gluing(args.s1, args.s2, args.p, args.q)
     C = gl.glued_curve(spec)
     display = degrevlex(C.nvars)
-    gens = [monic(g, display) for g in gl.glued_ideal(spec)]
+    gens = [monic(as_polynomial(g), display) for g in gl.glued_ideal(spec)]
     return {
         "s1": list(spec.s1.generators),
         "s2": list(spec.s2.generators),

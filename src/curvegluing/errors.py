@@ -67,10 +67,6 @@ class NonHomogeneousBinomial(DomainError):
     code = "NonHomogeneousBinomial"
 
 
-class NonBinomialGenerator(DomainError):
-    code = "NonBinomialGenerator"
-
-
 # ------------------------------------------------------------------ hilbert
 
 class DimensionMismatch(DomainError):

@@ -7,6 +7,10 @@ the coefficient sum of a representation of p.  Instances are verified by
 computing all tangent cones and Hilbert functions on both the component and
 the glued side and checking every conclusion the hypotheses promise.
 
+Every ideal here, G1, G2, the bridge and each cone's standard basis, is a
+list of exponent pairs ``(lead, trail)`` (``toric.Binomial``).
+``toric.as_polynomial`` builds a ``Polynomial`` only to print a witness.
+
 A family fixes both components and varies p and q, so each component's
 analysis (presentation, tangent cone, Hilbert data) is cached per process,
 as ``semigroup._apery_table`` caches the Apéry table.  The key is the
@@ -30,10 +34,10 @@ from .errors import (EmptyRange, GcdViolation, GeneratorCollision, GluingError,
                      TheoremViolation)
 from .hilbert import (HilbertData, certifies_defining_ideal,
                       local_hilbert_function, product_factorization_check)
-from .polyalg import (Polynomial, is_variable_name, negdegrevlex,
-                      parse_polynomial)
+from .polyalg import is_variable_name, negdegrevlex, parse_polynomial
 from .tangentcone import TangentConeReport, tangent_cone
-from .toric import (MonomialCurve, check_kernel_element, curve_standard_basis,
+from .toric import (Binomial, MonomialCurve, as_polynomial,
+                    check_kernel_element, curve_standard_basis,
                     defining_ideal)
 
 
@@ -132,13 +136,14 @@ def glued_curve(spec: GluingSpec) -> MonomialCurve:
 
 
 def glued_ideal(spec: GluingSpec,
-                g1: tuple[Polynomial, ...] | None = None,
-                g2: tuple[Polynomial, ...] | None = None) -> list[Polynomial]:
+                g1: tuple[Binomial, ...] | None = None,
+                g2: tuple[Binomial, ...] | None = None) -> list[Binomial]:
     """Generators of the glued defining ideal: G1, G2, and the bridge binomial.
 
+    All are pairs ``(lead, trail)``; the bridge is ``(bridge_x, bridge_y)``.
     ``g1``/``g2`` default to the defining ideals of the component curves,
     read from :func:`_component_analysis`; pass explicit generators to reuse
-    known ones.  Component polynomials are re-indexed into the joint ring
+    known ones.  Component binomials are re-indexed into the joint ring
     (x-block first).
     """
     l = len(spec.s1.generators)
@@ -151,7 +156,7 @@ def glued_ideal(spec: GluingSpec,
     out += [_embed(g, before=l, after=0) for g in g2]
     bridge_x = tuple(spec.b_witness.coefficients) + (0,) * k
     bridge_y = (0,) * l + tuple(spec.a_witness.coefficients)
-    out.append(Polynomial.term(1, bridge_x) - Polynomial.term(1, bridge_y))
+    out.append((bridge_x, bridge_y))
     return out
 
 
@@ -169,7 +174,7 @@ def _block_curve(gens: tuple[int, ...], which: int) -> MonomialCurve:
 @lru_cache(maxsize=1024)
 def _component_analysis(gens: tuple[int, ...], which: int,
                         hf_prefix_len: int | None
-                        ) -> tuple[tuple[Polynomial, ...], TangentConeReport,
+                        ) -> tuple[tuple[Binomial, ...], TangentConeReport,
                                    HilbertData]:
     """Presentation, tangent cone and Hilbert data of a component curve.
 
@@ -187,10 +192,10 @@ def _component_analysis(gens: tuple[int, ...], which: int,
     return ideal, rep, hd
 
 
-def _embed(g: Polynomial, before: int, after: int) -> Polynomial:
+def _embed(g: Binomial, before: int, after: int) -> Binomial:
     pad_l, pad_r = (0,) * before, (0,) * after
-    return Polynomial({pad_l + m + pad_r: c for m, c in g.terms.items()},
-                      _clean=False)
+    lead, trail = g
+    return pad_l + lead + pad_r, pad_l + trail + pad_r
 
 
 def _paper_priority(nvars: int) -> tuple[int, ...]:
@@ -213,7 +218,7 @@ class VerificationReport:
     c1_cm: bool
     c2_cm: bool
     glued_cm: bool
-    glued_cm_witness: Polynomial | None
+    glued_cm_witness: Binomial | None
     c1_hf_nondecreasing: bool
     c2_hf_nondecreasing: bool
     glued_hf_nondecreasing: bool
@@ -341,7 +346,7 @@ def _leading_decomposition_ok(spec, rep1, rep2, rosales, glued) -> bool:
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     order = negdegrevlex(l + k, _theorem_priority(l, k))
-    got = set(curve_standard_basis(rosales, order).leads)
+    got = {lead for lead, _ in curve_standard_basis(rosales, order)}
     expect = {(*m, *(0,) * k) for m in rep1.lm_set}
     expect |= {(*(0,) * l, *m) for m in rep2.lm_set}
     a1 = spec.a_witness.coefficients[0]
@@ -518,7 +523,8 @@ def report_to_record(report: VerificationReport) -> dict:
         "c1_cm": report.c1_cm,
         "c2_cm": report.c2_cm,
         "glued_cm": report.glued_cm,
-        "glued_cm_witness": (polynomial_to_str(witness, glued.names,
+        "glued_cm_witness": (polynomial_to_str(as_polynomial(witness),
+                                               glued.names,
                                                report.glued_report.order)
                              if witness is not None else None),
         "c1_hf_nondecreasing": report.c1_hf_nondecreasing,

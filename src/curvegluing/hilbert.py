@@ -37,10 +37,6 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
-def poly_eval_one(a: IntPoly) -> int:
-    return sum(a)
-
-
 def _trim(a: IntPoly) -> IntPoly:
     a = list(a)
     while len(a) > 1 and a[-1] == 0:
@@ -50,7 +46,7 @@ def _trim(a: IntPoly) -> IntPoly:
 
 def divide_by_one_minus_t(a: IntPoly) -> IntPoly:
     """Exact quotient a(t)/(1-t); raises when (1-t) does not divide a."""
-    if poly_eval_one(a) != 0:
+    if sum(a) != 0:
         raise DimensionMismatch("(1-t) does not divide the numerator")
     out = []
     acc = 0
@@ -188,7 +184,7 @@ def hilbert_from_lms(lms: list[Mono], nvars: int,
     h = list(num)
     for _ in range(nvars - 1):
         h = divide_by_one_minus_t(h)
-    mult = poly_eval_one(h)
+    mult = sum(h)
     if mult <= 0:
         raise DimensionMismatch(
             f"reduced numerator evaluates to {mult} at t=1; dimension is not 1")
@@ -224,7 +220,8 @@ def certifies_defining_ideal(lms: list[Mono], C: MonomialCurve) -> bool:
     Precondition: ``lms`` generate the leading ideal, under some monomial
     order, local or global, of an ideal I generated by elements of the
     kernel P of x_i -> t^{n_i}, each homogeneous for the semigroup grading
-    deg x_i = n_i (``toric.check_kernel_element`` tests both).  Then:
+    deg x_i = n_i.  A binomial x^a - x^b homogeneous for it lies in P, which
+    ``toric.check_kernel_element`` tests.  Then:
 
     1. I is contained in P, and K[x]/P is the semigroup ring K[S], whose
        Hilbert series is sum_{s in S} t^s = A(t)/(1-t^m), where m is the

@@ -17,8 +17,10 @@ and the pruner keeps a lone generator.  With one generator, the line, the
 kernel is zero.
 
 Every polynomial on that path is a pure difference binomial x^a - x^b, so
-it runs on exponent pairs ``(lead, trail)`` and builds a ``Polynomial`` only
-for each returned generator.  The result is the list that
+it runs on exponent pairs ``(lead, trail)``, the monic x^lead - x^trail
+(``Binomial``).  A curve's ideal keeps that form from its presentation to
+every verdict, and :func:`as_polynomial` builds a ``Polynomial`` only where
+a generator is printed.  The presentation is the list that
 ``basis.buchberger``, ``basis.interreduce_global`` and ``is_member_global``
 give on the same input, in the same order, for two reasons:
 
@@ -38,10 +40,7 @@ give on the same input, in the same order, for two reasons:
 
 The same completion loop, with ``local=True``, gives the local-order
 standard bases behind the tangent cones (:func:`curve_standard_basis`) and
-lists what ``basis.standard_basis`` lists.  It takes pure difference
-binomials only and refuses any other generator with
-:class:`NonBinomialGenerator`; ``basis.standard_basis`` takes any
-polynomials.
+lists what ``basis.standard_basis`` lists on the same binomials.
 
 - Mora's weak normal form.  Rewriting the leading term of x^a - x^b by
   x^l - x^t again leaves a pure difference binomial, so each step moves one
@@ -64,14 +63,19 @@ from dataclasses import dataclass, field
 from operator import add, le, mul, sub
 
 from . import semigroup as sg
-from .basis import (BasisResult, _LeadIndex, buchberger, is_member_global,
+from .basis import (_LeadIndex, buchberger, is_member_global,
                     normal_form_global)
-from .errors import (ArityMismatch, NonBinomialGenerator,
-                     NonHomogeneousBinomial, SelfCheckFailed)
+from .errors import ArityMismatch, NonHomogeneousBinomial, SelfCheckFailed
 from .polyalg import (Mono, MonomialOrder, Polynomial, degrevlex, elimination,
                       m_deg, minimal_indices)
 
 Binomial = tuple[Mono, Mono]  # (lead, trail): the monic x^lead - x^trail
+
+
+def as_polynomial(g: Binomial) -> Polynomial:
+    """x^lead - x^trail as a ``Polynomial``, for display."""
+    lead, trail = g
+    return Polynomial({lead: 1, trail: -1}, _clean=False)
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,9 @@ def curve(raw_generators: list[int] | tuple[int, ...]) -> MonomialCurve:
     return MonomialCurve(S.generators, names)
 
 
-def defining_ideal(C: MonomialCurve) -> list[Polynomial]:
-    """Generators of the kernel of x_i -> t^{n_i}, as monic binomials.
+def defining_ideal(C: MonomialCurve) -> list[Binomial]:
+    """Generators of the kernel of x_i -> t^{n_i}, as monic binomials
+    ``(lead, trail)`` with the degrevlex-larger term leading.
 
     A curve on one generator (the line) has the zero kernel, and one on
     generators (a, b) the single generator x1^b - x2^a, its larger-degree
@@ -129,11 +134,9 @@ def defining_ideal(C: MonomialCurve) -> list[Polynomial]:
         pruned = _eliminate(C)
     else:
         pruned = []
-    gens = [Polynomial({lead: 1, trail: -1}, _clean=False)
-            for lead, trail in pruned]
-    for g in gens:
+    for g in pruned:
         check_kernel_element(g, C)
-    return gens
+    return pruned
 
 
 def _eliminate(C: MonomialCurve) -> list[Binomial]:
@@ -249,29 +252,18 @@ def _complete_binomials(gens: list[Binomial], key,
     return [polys[i] for i in minimal_indices(leads.lms)]
 
 
-def curve_standard_basis(gens: list[Polynomial],
-                         order: MonomialOrder) -> BasisResult:
+def curve_standard_basis(gens: list[Binomial],
+                         order: MonomialOrder) -> list[Binomial]:
     """What ``basis.standard_basis`` gives under the local ``order``, for
     pure difference binomials such as a curve's ideal, on exponent pairs.
 
-    A generator that is not ±(x^a - x^b) raises
-    :class:`NonBinomialGenerator` naming it.  On a curve's ideal the loop
+    Each pair is oriented by ``order`` first.  On a curve's ideal the loop
     never meets a monomial times a unit; meeting one raises
     ``SelfCheckFailed``.
     """
     key = order.key
-    pairs = []
-    for i, g in enumerate(gens):
-        if sorted(g.terms.values()) != [-1, 1]:
-            raise NonBinomialGenerator(
-                f"generator {i + 1} of {len(gens)}, {g!r}, is not a pure "
-                f"difference binomial x^a - x^b")
-        a, b = g.terms
-        pairs.append((a, b) if key(a) > key(b) else (b, a))
-    basis = _complete_binomials(pairs, key, local=True)
-    return BasisResult(tuple(Polynomial({lead: 1, trail: -1}, _clean=False)
-                             for lead, trail in basis),
-                       order, tuple(lead for lead, _ in basis))
+    pairs = [(a, b) if key(a) > key(b) else (b, a) for a, b in gens]
+    return _complete_binomials(pairs, key, local=True)
 
 
 def _ecart(lead: Mono, trail: Mono) -> int:
@@ -378,21 +370,14 @@ def _prune_redundant(gens: list, is_member) -> list:
     return kept
 
 
-def check_kernel_element(g: Polynomial, C: MonomialCurve):
-    """g is homogeneous for the semigroup grading and vanishes on the curve.
-
-    Every monomial must carry the same semigroup value, and the coefficients
-    must cancel, so that x_i -> t^{n_i} sends g to zero.
-    """
-    values = {sum(e * n for e, n in zip(m, C.generators)) for m in g.terms}
+def check_kernel_element(g: Binomial, C: MonomialCurve):
+    """x^a - x^b is homogeneous for the semigroup grading, so it vanishes on
+    the curve: both monomials must carry the same semigroup value."""
+    values = {sum(e * n for e, n in zip(m, C.generators)) for m in g}
     if len(values) > 1:
         raise SelfCheckFailed(
             f"kernel element not homogeneous for the semigroup grading: "
             f"values {sorted(values)}")
-    if sum(g.terms.values()) != 0:
-        raise SelfCheckFailed(
-            f"graded element of value {values.pop()} does not vanish on the "
-            f"curve: coefficients sum to {sum(g.terms.values())}")
 
 
 def minimal_generator_count(gens: list[Polynomial], nvars: int) -> int:

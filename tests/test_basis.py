@@ -1,14 +1,18 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvegluing.basis import (_LeadIndex, buchberger, interreduce_global,
-                               is_member_global, leading_ideal, mora_weak_nf,
+from curvegluing import basis as basis_module
+from curvegluing.basis import (MORA_STEP_BUDGET, _LeadIndex, buchberger,
+                               interreduce_global, is_member_global,
+                               leading_ideal, mora_weak_nf,
                                normal_form_global, standard_basis)
-from curvegluing.errors import NonGlobalOrder, NonLocalOrder
+from curvegluing.errors import (NonGlobalOrder, NonLocalOrder,
+                                WorkBudgetExceeded)
 from curvegluing.polyalg import (Polynomial, degrevlex, elimination,
                                  leading_monomial, m_divides,
                                  monic, negdegrevlex, parse_polynomial, spoly)
@@ -32,7 +36,7 @@ def P4(t):
 
 
 def lm_set(basis):
-    return set(basis.leading_monomials())
+    return set(basis.leads)
 
 
 IDEAL_32 = [P3("x1^5 - x3^2"), P3("x1*x3 - x2^3")]
@@ -136,7 +140,7 @@ class TestMoraWeakNF:
         # the product criterion, checked against the actual reduction
         basis = standard_basis(IDEAL_22, ORDER22)
         elems = list(basis.elements)
-        lms = basis.leading_monomials()
+        lms = basis.leads
         pairs = [(i, j) for i in range(len(elems)) for j in range(i)
                  if coprime(lms[i], lms[j])]
         assert pairs
@@ -147,7 +151,7 @@ class TestMoraWeakNF:
     def test_remainder_leading_monomial_not_divisible(self):
         basis = standard_basis(IDEAL_32, ORDER32)
         elems = list(basis.elements)
-        lms = basis.leading_monomials()
+        lms = basis.leads
         f = P3("x1^2 + x2*x3")
         r = mora_weak_nf(f, elems, ORDER32)
         assert not r.is_zero()
@@ -191,7 +195,7 @@ class TestStandardBasis:
 
     def test_minimality(self):
         basis = standard_basis(IDEAL_22, ORDER22)
-        lms = basis.leading_monomials()
+        lms = basis.leads
         for i, m in enumerate(lms):
             for j, other in enumerate(lms):
                 if i != j:
@@ -319,6 +323,50 @@ class TestMonomialTimesUnitReducer:
         assert r == P3("x2 - x1*x2^2")
         assert u.terms.get((0, 0, 0)) == 1
         assert is_member_global(u * f - r, [g], degrevlex(3))
+
+
+class TestMoraStepBudget:
+    """Mora's normal form refuses to run past ``MORA_STEP_BUDGET`` steps.
+
+    Each input below ran for minutes before the budget, with coefficients
+    of thousands of bits; no reducer is a monomial times a unit.
+    """
+
+    @pytest.mark.parametrize("gens, priority", [
+        (["x2^4 - x2^3*x3", "x3^5 - x1*x2*x3",
+          "-2*x2 + x1^3*x2*x3^2 - 3*x1*x3^2"], (2, 0, 1)),
+        (["x2*x3^3 - x3^5", "x1*x2*x3 - x2^3*x3",
+          "2*x3 + 3*x1^3*x2^2 - 2*x1^3*x2^2*x3"], (1, 0, 2)),
+        # its 1000th step comes after 37 s
+        (["x1^6 - x1^2*x2", "x1^5 - x1*x3", "x3 - x1^4",
+          "2*x1^2*x2^2 + x1^2*x2*x3 - 3*x1^2*x2*x3^2"], (2, 0, 1)),
+    ], ids=["draw_1", "draw_2", "draw_3"])
+    def test_stalling_standard_basis_refused(self, gens, priority):
+        # draws of test_tangentcone.py::test_every_engine
+        start = time.perf_counter()
+        with pytest.raises(WorkBudgetExceeded, match=str(MORA_STEP_BUDGET)):
+            standard_basis([P3(g) for g in gens], negdegrevlex(3, priority))
+        assert time.perf_counter() - start < 5
+
+    def test_stalling_normal_form_refused(self):
+        # f is itself a basis element, but the first element has the least
+        # ecart and Mora's loop reduces by it
+        f = P3("-3*x2*x3 - 5*x1^2*x2 + 4/3*x1^2*x2^2")
+        basis = [P3("5*x2*x3 + 3*x1*x3^2 + x1^2*x3"), f,
+                 P3("2*x1 - 5/3*x2^2*x3^2 + 3/2*x1^2*x3^2")]
+        start = time.perf_counter()
+        with pytest.raises(WorkBudgetExceeded, match=str(MORA_STEP_BUDGET)):
+            mora_weak_nf(f, basis, negdegrevlex(3))
+        assert time.perf_counter() - start < 5
+
+    def test_budget_counts_reduction_steps(self, monkeypatch):
+        # x1 reduces by x1 - x2^2 in one step, to x2^2
+        f, g = P3("x1"), P3("x1 - x2^2")
+        monkeypatch.setattr(basis_module, "MORA_STEP_BUDGET", 1)
+        assert mora_weak_nf(f, [g], negdegrevlex(3)) == P3("x2^2")
+        monkeypatch.setattr(basis_module, "MORA_STEP_BUDGET", 0)
+        with pytest.raises(WorkBudgetExceeded):
+            mora_weak_nf(f, [g], negdegrevlex(3))
 
 
 @pytest.fixture(scope="module")

@@ -96,6 +96,19 @@ class TestIdealCommand:
         assert set(payload["leading_monomials"]) == \
             {"x3^2", "x1*x3", "x2^3*x3", "x2^6"}
 
+    def test_raw_local_basis_past_the_mora_budget(self, capsys):
+        # Mora's normal form ran for minutes on this input before it had a
+        # step budget
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "ideal", "--raw",
+            "x2^4 - x2^3*x3; x3^5 - x1*x2*x3; "
+            "-2*x2 + x1^3*x2*x3^2 - 3*x1*x3^2",
+            "--vars", "x1,x2,x3", "--local", "--order", "x3,x1,x2")
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == ""
+        assert "[WorkBudget]" in err
+
 
 class TestTangentConeCommand:
     def test_example_3_2_component(self, capsys):

@@ -16,7 +16,8 @@ from curvegluing.polyalg import (Polynomial, m_divides, minimal_indices,
                                  negdegrevlex)
 from curvegluing.semigroup import minimal_generators
 from curvegluing.tangentcone import canonical_priority, tangent_cone
-from curvegluing.toric import MonomialCurve, curve, defining_ideal
+from curvegluing.toric import (MonomialCurve, as_polynomial, curve,
+                               defining_ideal)
 
 LMS_32 = [(0, 0, 2), (1, 0, 1), (0, 3, 1), (0, 6, 0)]
 
@@ -276,7 +277,8 @@ class TestCertificate:
     def test_square_of_generator_rejected(self):
         C = curve([2, 3])
         (g,) = defining_ideal(C)
-        assert not certifies_defining_ideal(polynomial_leads(C, [g * g]), C)
+        square = as_polynomial(g) * as_polynomial(g)
+        assert not certifies_defining_ideal(polynomial_leads(C, [square]), C)
 
     def test_zero_ideal_rejected(self):
         C = curve([2, 3])
@@ -320,7 +322,8 @@ class TestCertificateBoundedWork:
 
     def test_squared_bridge_rejected(self, family_q_1000):
         C, gens = family_q_1000
-        squared = gens[:-1] + [gens[-1] * gens[-1]]
+        bridge = as_polynomial(gens[-1])
+        squared = [as_polynomial(g) for g in gens[:-1]] + [bridge * bridge]
         assert not certify_in_bounded_memory(C, polynomial_leads(C, squared))
 
 

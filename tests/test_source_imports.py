@@ -1,0 +1,61 @@
+"""Every name imported into a ``curvegluing`` module is used there, and
+the curve path stays off the ``Polynomial`` engines of ``basis``.
+
+A name counts as used when the module reads it (annotations included) or
+exports it in ``__all__``.  ``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "curvegluing"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}  # bound name -> line
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from .polyalg import Polynomial, degrevlex as dr\n"
+              "from .toric import curve\n"
+              "__all__ = ['curve']\n"
+              "def f(x: Polynomial):\n"
+              "    return os.sep\n")
+    assert unused_imports(source) == ["dr (line 3)"]
+
+
+@pytest.mark.parametrize("module", ["tangentcone", "gluing"])
+def test_curve_path_imports_nothing_from_basis(module):
+    # curve ideals reach a standard basis through toric alone
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "basis"] == []
