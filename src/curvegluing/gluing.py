@@ -65,6 +65,17 @@ def validate_gluing(s1, s2, p: int, q: int) -> GluingSpec:
     Witnesses maximize the coefficient sum (ties broken lexicographically);
     when the gluing is nice the q-witness is concentrated on the smallest
     generator of s2 so the glued binomial leads with a pure power.
+
+    No factorization is listed.  ``max_length_representation`` finds the
+    longest one by an exchange argument: in a longest representation over
+    g0 < g1 < ..., each c_i (i >= 1) is at most g0 - 1, since g0 copies of
+    g_i could be swapped for g_i copies of g0, a longer representation.
+    So the part over g1, g2, ... is at most T = (g0 - 1) * (g1 + g2 + ...),
+    and its table has (k - 2) * (min(p, T) + 1) cells for k generators,
+    whatever the size of p; more than ``semigroup.MAX_WITNESS_CELLS``
+    raises ``WorkBudgetExceeded``.  q's membership is read from the Apéry
+    table, and q's witness is searched for only when the gluing is not
+    nice.  p is checked before q.
     """
     s1 = _as_semigroup(s1)
     s2 = _as_semigroup(s2)
@@ -85,14 +96,12 @@ def validate_gluing(s1, s2, p: int, q: int) -> GluingSpec:
         raise PIsMinimalGenerator(f"p = {p} is a minimal generator of S1")
     if q in s2.generators:
         raise QIsMinimalGenerator(f"q = {q} is a minimal generator of S2")
-    reps_p = s1.all_representations(p)
-    if not reps_p:
+    b = s1.max_length_representation(p)
+    if b is None:
         raise NotInSemigroup(f"p = {p} is not in S1 {list(s1.generators)}")
-    reps_q = s2.all_representations(q)
-    if not reps_q:
+    if s2.contains(q) is None:
         raise NotInSemigroup(f"q = {q} is not in S2 {list(s2.generators)}")
 
-    b = _max_size_witness(reps_p)
     n1 = s2.generators[0]
     nice = q % n1 == 0 and q // n1 <= b.size
     if nice:
@@ -100,7 +109,7 @@ def validate_gluing(s1, s2, p: int, q: int) -> GluingSpec:
         a_coeffs[0] = q // n1
         a = sg.Representation(tuple(a_coeffs), q)
     else:
-        a = _max_size_witness(reps_q)
+        a = s2.max_length_representation(q)
     return GluingSpec(s1, s2, p, q, b, a, nice)
 
 
@@ -108,12 +117,6 @@ def _as_semigroup(s) -> sg.NumericalSemigroup:
     if isinstance(s, sg.NumericalSemigroup):
         return s
     return sg.minimal_generators(list(s))
-
-
-def _max_size_witness(reps: list[sg.Representation]) -> sg.Representation:
-    best_size = max(r.size for r in reps)
-    return min((r for r in reps if r.size == best_size),
-               key=lambda r: r.coefficients)
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,19 @@ Ap[r] - g again an Apéry element, so following them from any Apéry element
 reaches 0.  Membership from that table also drives the order-filtration
 Hilbert oracle, which is deliberately independent of all polynomial
 machinery.
+
+The gluing witnesses need a representation of largest coefficient sum
+(Barron, O'Neill & Pelayo, Math. Comp. 86, 2017, for such dynamic
+algorithms).  It is found without listing factorizations, whose number
+grows like n^(k-1).  In a longest representation of n over g0 < g1 < ...,
+every c_i with i >= 1 is at most g0 - 1: otherwise g0 copies of g_i could
+be swapped for g_i copies of g0, which is longer.  So the part over
+g1, g2, ... is some v <= T = min(n, (g0 - 1) * (g1 + g2 + ...)), and one
+row of longest sums per suffix of the generators, up to T, settles it;
+the last generator's row is closed form.  The rows do not grow with n,
+and more than ``MAX_WITNESS_CELLS`` cells raise
+:class:`WorkBudgetExceeded` before allocation.  ``all_representations``
+lists every factorization and serves the tests as the reference.
 """
 
 from __future__ import annotations
@@ -25,6 +38,8 @@ from .errors import (EmptyGenerators, GcdNotOne, NonPositiveGenerator,
 
 # the largest multiplicity whose Apéry table is built: one residue per entry
 MAX_MULTIPLICITY = 10**6
+# the most cells of longest-length rows one witness search may build
+MAX_WITNESS_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -86,8 +101,48 @@ class NumericalSemigroup:
             w -= gens[i]
         return Representation(tuple(coeffs), n)
 
+    def max_length_representation(self, n: int) -> Representation | None:
+        """The representation of n of largest coefficient sum, or None when
+        n is not a member; ties go to the lexicographically smallest.
+
+        By the exchange bound (module docstring) the part over ``gens[1:]``
+        is at most T = min(n, (g0 - 1) * sum(gens[1:])).  c0, c1, ... are
+        fixed in turn, each the smallest value that keeps the rest optimal,
+        read from ``_longest_rows`` up to T.  Raises
+        :class:`WorkBudgetExceeded`, before allocating, when those rows
+        would hold more than ``MAX_WITNESS_CELLS`` cells.
+        """
+        if self.contains(n) is None:
+            return None
+        gens = self.generators
+        top = min(n, (gens[0] - 1) * sum(gens[1:]))
+        rows = _longest_rows(gens, top)
+        last = gens[-1]
+
+        def longest(j, v):  # the largest coefficient sum of v over gens[j:]
+            if j < len(rows):
+                return rows[j][v]
+            return v // last if v % last == 0 else -inf
+
+        coeffs = []
+        rest = n
+        for j, g in enumerate(gens[:-1]):
+            # c0 leaves at most ``top`` to gens[1:]; later rests are <= top
+            lo = max(0, -(-(rest - top) // g))
+            # max keeps the first, so the smallest, of the optimal values
+            c = max(range(lo, rest // g + 1),
+                    key=lambda c: c + longest(j + 1, rest - c * g))
+            coeffs.append(c)
+            rest -= c * g
+        coeffs.append(rest // last)
+        return Representation(tuple(coeffs), n)
+
     def all_representations(self, n: int) -> list[Representation]:
-        """Every coefficient vector representing n, lexicographically sorted."""
+        """Every coefficient vector representing n, lexicographically sorted.
+
+        Only the tests call it, as the reference for
+        :meth:`max_length_representation`; the count grows like n^(k-1).
+        """
         if n < 0:
             raise ValueError("n must be >= 0")
         gens = self.generators
@@ -192,6 +247,36 @@ def _minimalize(gens: tuple[int, ...]) -> tuple[int, ...]:
     apery, _ = _apery_table(gens)
     return tuple(g for g in gens
                  if not any(g - h >= apery[(g - h) % m] for h in gens if h < g))
+
+
+def _longest_rows(gens: tuple[int, ...], top: int) -> list:
+    """``rows[j][v]``, for 1 <= j <= k - 2 and v <= top, is the largest
+    coefficient sum of v over ``gens[j:]`` (-inf when v has none).
+
+    Row j is row j + 1 relaxed by ``gens[j]`` in increasing v; the row of
+    the last generator is never built.  Raises :class:`WorkBudgetExceeded`
+    before allocating more than ``MAX_WITNESS_CELLS`` cells.
+    """
+    cells = max(len(gens) - 2, 0) * (top + 1)
+    if cells > MAX_WITNESS_CELLS:
+        raise WorkBudgetExceeded(
+            f"the longest representations over {list(gens)} up to {top} "
+            f"need {cells} table cells; the budget is MAX_WITNESS_CELLS = "
+            f"{MAX_WITNESS_CELLS}")
+    rows = [None] * (len(gens) - 1)
+    last = gens[-1]
+    for j in range(len(gens) - 2, 0, -1):
+        if j + 1 < len(rows):
+            row = rows[j + 1].copy()
+        else:
+            row = [v // last if v % last == 0 else -inf
+                   for v in range(top + 1)]
+        g = gens[j]
+        for v in range(g, top + 1):
+            if row[v - g] + 1 > row[v]:
+                row[v] = row[v - g] + 1
+        rows[j] = row
+    return rows
 
 
 @lru_cache(maxsize=1024)

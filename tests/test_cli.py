@@ -173,6 +173,31 @@ class TestGlueVerifyCommands:
         assert code == 1
         assert "GcdViolation" in err
 
+    def test_large_p_answers_fast(self, capsys):
+        # listing the factorizations of p in <4,5,6,7> never finished
+        gluing = ("--s1", "4,5,6,7", "--s2", "2,3", "--p", "1000000000001",
+                  "--q", "5")
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "glue", *gluing)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert "'x1^249999999999*x2 - y1*y2'" in out
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", *gluing, "--json")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert json.loads(out)["b_witness"] == [249999999999, 1, 0, 0]
+
+    @pytest.mark.parametrize("command", ["glue", "verify"])
+    def test_witness_table_past_the_budget(self, capsys, command):
+        # two rows of min(p, 999 * 3006) + 1 cells, over MAX_WITNESS_CELLS
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--s1", "1000,1001,1002,1003",
+                                 "--s2", "2,3", "--p", "1001001", "--q", "5")
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == ""
+        assert "[WorkBudget]" in err and "MAX_WITNESS_CELLS" in err
+
 
 VERIFY_PATH_LINES = [
     "verify --s1 5,12 --s2 7,8 --p 17 --q 21",

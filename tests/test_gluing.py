@@ -80,6 +80,15 @@ class TestValidation:
         with pytest.raises(NotInSemigroup):
             validate_gluing([2, 3], [4, 5], 7, 11)
 
+    @pytest.mark.parametrize("s1, p, message", [
+        ([3, 4], 5, "p = 5 is not in S1 [3, 4]"),  # neither is a member
+        ([2, 3], 7, "q = 11 is not in S2 [4, 5]"),
+    ])
+    def test_p_is_checked_before_q(self, s1, p, message):
+        with pytest.raises(NotInSemigroup) as exc:
+            validate_gluing(s1, [4, 5], p, 11)
+        assert str(exc.value) == f"NotInSemigroup: {message}"
+
     def test_generator_collision(self):
         # 5*3 = 3*5 collides before the generator-membership clauses fire
         with pytest.raises(GeneratorCollision):

@@ -130,6 +130,64 @@ class TestAllRepresentations:
             assert {r.coefficients for r in S.all_representations(n)} == brute
 
 
+def _max_size_witness(reps):
+    """The reference: the longest of every listed factorization, ties going
+    to the lexicographically smallest; None when there is none."""
+    if not reps:
+        return None
+    best_size = max(r.size for r in reps)
+    return min((r for r in reps if r.size == best_size),
+               key=lambda r: r.coefficients)
+
+
+class TestMaxLengthRepresentation:
+    def test_matches_the_enumeration(self):
+        rng = random.Random(20)
+        draws = [((1,), 0), ((1,), 17), ((4, 5, 6, 7), 0), ((5, 12), 7)]
+        while len(draws) < 4000:
+            raw = rng.sample(range(1, 40), rng.randint(1, 5))
+            if gcd(*raw) == 1:
+                draws.append((raw, rng.randint(0, 300)))
+        non_members = 0
+        for raw, n in draws:
+            S = minimal_generators(raw)
+            got = S.max_length_representation(n)
+            assert got == _max_size_witness(S.all_representations(n)), \
+                (S.generators, n)
+            non_members += got is None
+            if got is not None:
+                # the exchange bound: g0 copies of g_i would be longer as
+                # g_i copies of g0
+                assert all(c < S.generators[0] for c in got.coefficients[1:])
+        assert non_members > 50
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            minimal_generators([2, 3]).max_length_representation(-1)
+
+    def test_large_member_needs_a_small_table(self):
+        rep = minimal_generators([4, 5, 6, 7]).max_length_representation(
+            10**12 + 1)
+        assert rep.coefficients == (249999999999, 1, 0, 0)
+
+    def test_witness_budget_is_inclusive(self, monkeypatch):
+        # T = 3 * (5 + 6 + 7) = 54: two rows of 55 cells
+        S = minimal_generators([4, 5, 6, 7])
+        monkeypatch.setattr(semigroup, "MAX_WITNESS_CELLS", 110)
+        assert S.max_length_representation(101).coefficients == (24, 1, 0, 0)
+        monkeypatch.setattr(semigroup, "MAX_WITNESS_CELLS", 109)
+        with pytest.raises(WorkBudgetExceeded, match="MAX_WITNESS_CELLS"):
+            S.max_length_representation(101)
+        assert S.max_length_representation(3) is None  # no table for these
+
+    def test_two_generators_build_no_table(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "MAX_WITNESS_CELLS", 0)
+        S = minimal_generators([999, 1000])
+        assert S.max_length_representation(10**9).coefficients == (1001000, 1)
+        assert minimal_generators([1]).max_length_representation(
+            5).coefficients == (5,)
+
+
 class TestFrobeniusApery:
     def test_2_3(self):
         assert minimal_generators([2, 3]).frobenius_and_apery() == (1, (0, 3))

@@ -1,5 +1,6 @@
-"""Every name imported into a ``curvegluing`` module is used there, and
-the curve path stays off the ``Polynomial`` engines of ``basis``.
+"""Every name imported into a ``curvegluing`` module is used there, the
+curve path stays off the ``Polynomial`` engines of ``basis``, and no
+module lists every factorization of a semigroup element.
 
 A name counts as used when the module reads it (annotations included) or
 exports it in ``__all__``.  ``from __future__`` imports are exempt.
@@ -59,3 +60,25 @@ def test_curve_path_imports_nothing_from_basis(module):
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
             and node.module == "basis"] == []
+
+
+def enumeration_calls(source: str) -> list[int]:
+    """Lines that call ``all_representations``, the tests' reference."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "all_representations" in (getattr(node.func, "attr", None),
+                                          getattr(node.func, "id", None))]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_factorization_is_listed(path):
+    # their number grows like n^(k-1); max_length_representation is bounded
+    assert enumeration_calls(path.read_text()) == []
+
+
+def test_a_listing_is_found():
+    source = ("def f(S, n):\n"
+              "    reps = S.all_representations(n)\n"
+              "    return all_representations(S, n)\n")
+    assert enumeration_calls(source) == [2, 3]
