@@ -3,9 +3,11 @@
 A gluing scales two semigroups by coprime members of each other and joins
 the generator lists; a nice gluing additionally writes q as a multiple of
 the smallest generator of the second semigroup, with multiplicity bounded by
-the coefficient sum of a representation of p.  Instances are verified by
-computing all tangent cones and Hilbert functions on both the component and
-the glued side and checking every conclusion the hypotheses promise.
+the coefficient sum of a representation of p.  An instance is verified
+from one tangent cone per curve, component or glued, all in the canonical
+order, and the Hilbert functions they give; every conclusion the
+hypotheses promise is checked, the leading-ideal decomposition of Theorem 2
+through the Hilbert-series factorization (see :func:`verify_instance`).
 
 Every ideal here, G1, G2, the bridge and each cone's standard basis, is a
 list of exponent pairs ``(lead, trail)`` (``toric.Binomial``).
@@ -34,11 +36,10 @@ from .errors import (EmptyRange, GcdViolation, GeneratorCollision, GluingError,
                      TheoremViolation)
 from .hilbert import (HilbertData, certifies_defining_ideal,
                       local_hilbert_function, product_factorization_check)
-from .polyalg import is_variable_name, negdegrevlex, parse_polynomial
+from .polyalg import is_variable_name, parse_polynomial
 from .tangentcone import TangentConeReport, tangent_cone
 from .toric import (Binomial, MonomialCurve, as_polynomial,
-                    check_kernel_element, curve_standard_basis,
-                    defining_ideal)
+                    check_kernel_element, defining_ideal)
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,14 @@ def _component_analysis(gens: tuple[int, ...], which: int,
     """Presentation, tangent cone and Hilbert data of a component curve.
 
     ``which`` names the block (1: x1.., 2: y1..).  The cone is taken in the
-    index order (v2 > ... > vn > v1), and the data has passed
+    canonical order, as the glued cone is, and the data has passed
     :func:`_self_check_cm_multiplicity`.  Computed once per process for each
     key; an exception is not cached, so a failing component raises on every
     call.
     """
     C = _block_curve(gens, which)
     ideal = tuple(defining_ideal(C))
-    rep = tangent_cone(C, priority=_paper_priority(C.nvars), ideal_gens=ideal)
+    rep = tangent_cone(C, ideal_gens=ideal)
     hd = local_hilbert_function(C, hf_prefix_len, report=rep)
     _self_check_cm_multiplicity(rep, hd)
     return ideal, rep, hd
@@ -199,16 +200,6 @@ def _embed(g: Binomial, before: int, after: int) -> Binomial:
     pad_l, pad_r = (0,) * before, (0,) * after
     lead, trail = g
     return pad_l + lead + pad_r, pad_l + trail + pad_r
-
-
-def _paper_priority(nvars: int) -> tuple[int, ...]:
-    """v2 > v3 > ... > vn > v1: index order with the first variable lowest."""
-    return tuple(range(1, nvars)) + (0,)
-
-
-def _theorem_priority(l: int, k: int) -> tuple[int, ...]:
-    """y2 > ... > yk > y1 > x2 > ... > xl > x1 in the joint ring."""
-    return tuple(range(l + 1, l + k)) + (l,) + tuple(range(1, l)) + (0,)
 
 
 # --------------------------------------------------------------------------
@@ -246,10 +237,29 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
                     hf_prefix_len: int | None = None) -> VerificationReport:
     """Analyze one gluing instance and evaluate both theorems on it.
 
-    Component bases use the index order (v2 > ... > vn > v1); the glued cone
-    uses the canonical by-value order, and, for nice gluings, a second basis
-    in the joint index order feeds the leading-ideal decomposition and the
-    Hilbert-series factorization checks.
+    Each cone, component or glued, is one standard basis in the canonical
+    order.  Theorem 2 (a nice gluing, component 2's cone CM) promises that
+    the glued leading ideal is E = LM(G1) + LM(G2) + <y1^a1> and that the
+    glued h-polynomial is h1 * h2 * (1 + ... + t^(a1-1)), which
+    ``product_factorization_check`` tests.  The two are equivalent, so
+    ``leading_ideal_decomposition_ok`` is read from the second:
+
+    - Let J be the local degree order with the y-block above the x-block,
+      each in its cone's order.  Each component basis keeps its leads under
+      J, and the bridge leads with y1^a1: niceness gives a1 <= |b|, and on
+      a degree tie y1^a1, having no x-exponent, wins the revlex comparison.
+      So E is contained in in_J(I).
+    - J and the canonical order are local degree orders, so S/in_J(I) and
+      S/in(I) both have the Hilbert function of the associated graded ring.
+    - Component 2's cone is CM: no lead is divisible by y1, so y1 is a
+      non-zero-divisor modulo LM(G2).  The blocks share no variable, so S/E
+      has the series h1 * h2 * (1 + ... + t^(a1-1)) / (1-t), and E = in_J(I)
+      iff the two series agree.
+
+    Theorem 1 applying implies Theorem 2 applying, as a CM component's
+    Hilbert function is nondecreasing (:func:`_self_check_cm_multiplicity`).
+    Neither the CM verdict nor a Hilbert function depends on the cone's
+    order while the smallest generator's variable is lowest.
 
     With ``cross_check_ideal`` the glued generator set is proved to be the
     defining ideal of the glued curve without another Groebner computation:
@@ -283,14 +293,10 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
     thm2_applicable = spec.nice and hd1.nondecreasing and rep2.is_cohen_macaulay
     thm2_confirmed = ghd.nondecreasing if thm2_applicable else None
 
-    decomposition_ok = None
     factorization_ok = None
     remark_ok = None
     if spec.nice:
         remark_ok = _remark_smallest(spec)
-        if thm2_applicable or thm1_applicable:
-            decomposition_ok = _leading_decomposition_ok(spec, rep1, rep2,
-                                                         rosales, glued)
         if thm2_applicable:
             factorization_ok = product_factorization_check(
                 ghd, list(hd1.reduced_numerator), list(hd2.reduced_numerator),
@@ -315,7 +321,7 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
         theorem1_confirmed=thm1_confirmed,
         theorem2_applicable=thm2_applicable,
         theorem2_confirmed=thm2_confirmed,
-        leading_ideal_decomposition_ok=decomposition_ok,
+        leading_ideal_decomposition_ok=factorization_ok,
         factorization_ok=factorization_ok,
         remark_smallest_ok=remark_ok,
         gorenstein=gorenstein,
@@ -342,19 +348,6 @@ def _remark_smallest(spec: GluingSpec) -> bool:
     qm1 = spec.q * spec.s1.generators[0]
     pn1 = spec.p * spec.s2.generators[0]
     return qm1 < pn1 and qm1 == min(spec.glued_generators)
-
-
-def _leading_decomposition_ok(spec, rep1, rep2, rosales, glued) -> bool:
-    """Glued leading ideal must be LM(G1) + LM(G2) + <y1^a1> (joint index order)."""
-    l = len(spec.s1.generators)
-    k = len(spec.s2.generators)
-    order = negdegrevlex(l + k, _theorem_priority(l, k))
-    got = {lead for lead, _ in curve_standard_basis(rosales, order)}
-    expect = {(*m, *(0,) * k) for m in rep1.lm_set}
-    expect |= {(*(0,) * l, *m) for m in rep2.lm_set}
-    a1 = spec.a_witness.coefficients[0]
-    expect.add((*(0,) * l, a1, *(0,) * (k - 1)))
-    return got == expect
 
 
 # --------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, WorkBudgetExceeded
 from .polyalg import Mono, m_deg, minimal_indices
 from .tangentcone import TangentConeReport, tangent_cone
 from .toric import MonomialCurve
 
+MAX_HF_PREFIX = 10**6  # the longest Hilbert-function prefix (``--limit``)
 IntPoly = list  # univariate integer polynomial, coefficient list by degree
 SparsePoly = dict  # univariate integer polynomial, {degree: non-zero coeff}
 
@@ -179,7 +180,12 @@ class HilbertData:
 
 def hilbert_from_lms(lms: list[Mono], nvars: int,
                      prefix_len: int | None = None) -> HilbertData:
-    """HilbertData of K[x]/<lms> assuming Krull dimension one."""
+    """HilbertData of K[x]/<lms> assuming Krull dimension one; a
+    ``prefix_len`` over ``MAX_HF_PREFIX`` is refused before any work."""
+    if prefix_len is not None and prefix_len > MAX_HF_PREFIX:
+        raise WorkBudgetExceeded(f"a Hilbert-function prefix of length "
+                                 f"{prefix_len} is over MAX_HF_PREFIX = "
+                                 f"{MAX_HF_PREFIX}")
     num = hilbert_numerator(lms, nvars)
     h = list(num)
     for _ in range(nvars - 1):

@@ -1,4 +1,5 @@
-"""Randomized gluing instances for the property suites.
+"""Randomized gluing instances for the property suites, and the joint-order
+completion that is the tests' reference for the leading-ideal decomposition.
 
 Everything is driven by a seeded ``random.Random`` so failures replay
 exactly; generators retry until the constructed instance validates as nice.
@@ -6,8 +7,12 @@ exactly; generators retry until the constructed instance validates as nice.
 
 from math import gcd
 
-from curvegluing.gluing import GluingSpec, validate_gluing
+from curvegluing.gluing import (GluingSpec, component_curve, glued_ideal,
+                                validate_gluing)
+from curvegluing.polyalg import negdegrevlex
 from curvegluing.semigroup import minimal_generators
+from curvegluing.tangentcone import tangent_cone
+from curvegluing.toric import curve_standard_basis
 
 
 def random_semigroup(rng, embdim, max_gen=15):
@@ -74,3 +79,41 @@ def _find_p(rng, s1, s2, q, a1):
         if spec.nice:
             return spec
     return None
+
+
+def paper_priority(nvars: int) -> tuple[int, ...]:
+    """v2 > v3 > ... > vn > v1: index order with the first variable lowest."""
+    return tuple(range(1, nvars)) + (0,)
+
+
+def theorem_priority(l: int, k: int) -> tuple[int, ...]:
+    """y2 > ... > yk > y1 > x2 > ... > xl > x1 in the joint ring."""
+    return tuple(range(l + 1, l + k)) + (l,) + tuple(range(1, l)) + (0,)
+
+
+def index_order_cones(spec: GluingSpec):
+    """Both component cones, each in its index order (``paper_priority``)."""
+    return [tangent_cone(C, paper_priority(C.nvars))
+            for C in (component_curve(spec, 1), component_curve(spec, 2))]
+
+
+def joint_order_decomposition_ok(spec: GluingSpec, reps=None,
+                                 rosales=None) -> bool:
+    """Is the glued leading ideal LM(G1) + LM(G2) + <y1^a1>?
+
+    Completes the glued ideal a second time, in the joint index order
+    (``theorem_priority``), and compares its leads with the component leads
+    of ``index_order_cones`` and the bridge's y1^a1.  ``verify_instance``
+    reads the same verdict off the Hilbert-series factorization.
+    """
+    l = len(spec.s1.generators)
+    k = len(spec.s2.generators)
+    rep1, rep2 = index_order_cones(spec) if reps is None else reps
+    rosales = glued_ideal(spec) if rosales is None else rosales
+    order = negdegrevlex(l + k, theorem_priority(l, k))
+    got = {lead for lead, _ in curve_standard_basis(rosales, order)}
+    expect = {(*m, *(0,) * k) for m in rep1.lm_set}
+    expect |= {(*(0,) * l, *m) for m in rep2.lm_set}
+    a1 = spec.a_witness.coefficients[0]
+    expect.add((*(0,) * l, a1, *(0,) * (k - 1)))
+    return got == expect

@@ -199,6 +199,28 @@ class TestGlueVerifyCommands:
         assert "[WorkBudget]" in err and "MAX_WITNESS_CELLS" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "6", "7", "15", "--limit", "10000000", "--json"],
+    ["verify", "--s1", "6,7,15", "--s2", "1", "--p", "13", "--q", "2",
+     "--limit", "100000000000", "--json"],
+])
+def test_limit_past_the_budget(argv):
+    # a separate interpreter, capped at 1 GiB of address space: without the
+    # budget the first call builds a 10^7-entry prefix and the second never ends
+    import resource
+    from pathlib import Path
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "curvegluing", *argv],
+                          capture_output=True, text=True, cwd=root,
+                          timeout=5, preexec_fn=cap)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "[WorkBudget]" in proc.stderr and "MAX_HF_PREFIX" in proc.stderr
+
+
 VERIFY_PATH_LINES = [
     "verify --s1 5,12 --s2 7,8 --p 17 --q 21",
     "verify --s1 5,12 --s2 7,8 --p 17 --q 21 --no-cross-check",

@@ -26,7 +26,8 @@ from curvegluing.toric import (as_polynomial, check_kernel_element,
                                defining_ideal, ideals_equal,
                                minimal_generator_count)
 
-from family_samples import random_nice_gluing
+from family_samples import joint_order_decomposition_ok, random_nice_gluing
+from record_gluing_digests import PATH as GLUING_DIGESTS
 
 
 def _polys(gens):
@@ -524,6 +525,78 @@ class TestTheoremSuites:
             assert report.factorization_ok
 
 
+def digest_specs() -> list[GluingSpec]:
+    """The 153 gluings of ``tests/gluing_digests.json``."""
+    return [validate_gluing(*row["gluing"])
+            for row in json.loads(GLUING_DIGESTS.read_text())]
+
+
+def config_member_specs() -> list[GluingSpec]:
+    """Every valid member of the shipped configs."""
+    specs = []
+    for name in ("family_q.json", "family_r.json"):
+        tpl = FamilyTemplate.from_config(json.loads((CONFIGS / name).read_text()))
+        for v in range(tpl.start, tpl.stop + 1):
+            try:
+                specs.append(validate_gluing(list(tpl.s1), list(tpl.s2),
+                                             tpl.p_expr(v), tpl.q_expr(v)))
+            except GluingError:
+                pass
+    return specs
+
+
+class TestLeadingDecompositionFromTheIdentity:
+    """``leading_ideal_decomposition_ok`` is read off the Hilbert-series
+    factorization; the joint-order completion of ``family_samples`` is the
+    reference it must agree with wherever Theorem 2 applies."""
+
+    @staticmethod
+    def assert_agrees(specs) -> int:
+        applicable = 0
+        for spec in specs:
+            report = verify_instance(spec, cross_check_ideal=False)
+            if report.theorem2_applicable:
+                applicable += 1
+                assert report.leading_ideal_decomposition_ok is \
+                    report.factorization_ok is \
+                    joint_order_decomposition_ok(spec), spec
+            else:
+                assert report.leading_ideal_decomposition_ok is None, spec
+        return applicable
+
+    def test_digest_gluings(self):
+        assert self.assert_agrees(digest_specs()) == 146
+
+    def test_config_members(self):
+        specs = config_member_specs()
+        assert len(specs) == 50
+        assert self.assert_agrees(specs) == 50
+
+    def test_field_is_read_from_the_identity(self, monkeypatch):
+        import curvegluing.gluing as gl
+
+        spec = validate_gluing([2, 3], [4, 5], 7, 8)
+        assert joint_order_decomposition_ok(spec)
+        monkeypatch.setattr(gl, "product_factorization_check",
+                            lambda *args: False)
+        report = verify_instance(spec)
+        assert report.theorem2_applicable
+        assert report.factorization_ok is False
+        assert report.leading_ideal_decomposition_ok is False
+
+
+def test_glued_hilbert_function_matches_the_order_filtration():
+    # the semigroup-side oracle shares no code with the standard basis
+    specs = digest_specs()
+    assert len(specs) == 153
+    for spec in specs:
+        prefix = verify_instance(spec, cross_check_ideal=False) \
+            .glued_hilbert.hf_prefix
+        oracle = glued_curve(spec).semigroup.order_filtration_hilbert(
+            len(prefix) - 1)
+        assert list(prefix) == oracle, spec
+
+
 def test_glued_curve_rejects_a_non_minimal_glued_set():
     # q * (2, 3) + p * (1,) = (2, 3, 5), and 5 = 2 + 3 is not minimal
     s1, s2 = sg.NumericalSemigroup((2, 3)), sg.NumericalSemigroup((1,))
@@ -733,6 +806,28 @@ class TestComponentCache:
         records = scan_family(tpl)
         assert sum(not r["skipped"] for r in records) > 2
         assert sorted(eliminated) == [(1,), (6, 7, 15)]
+
+    def test_one_completion_per_curve(self, monkeypatch):
+        import curvegluing.gluing as gl
+        import curvegluing.tangentcone as tc
+        import curvegluing.toric as toric
+
+        completed = []
+        real = toric.curve_standard_basis
+
+        def spying(gens, order):
+            completed.append(order.nvars)
+            return real(gens, order)
+
+        for module in (gl, tc, toric):
+            if hasattr(module, "curve_standard_basis"):
+                monkeypatch.setattr(module, "curve_standard_basis", spying)
+        spec = validate_gluing([3, 4, 5], [4, 5], 7, 8)
+        verify_instance(spec)
+        assert completed == [3, 2, 5]  # both components, then the glued curve
+        completed.clear()
+        verify_instance(spec)
+        assert completed == [5]
 
     def test_failing_component_raises_on_every_call(self, monkeypatch):
         import curvegluing.gluing as gl

@@ -5,7 +5,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from curvegluing.basis import standard_basis
-from curvegluing.errors import DimensionMismatch
+from curvegluing import hilbert
+from curvegluing.errors import DimensionMismatch, WorkBudgetExceeded
 from curvegluing.gluing import glued_curve, glued_ideal, validate_gluing
 from curvegluing.hilbert import (HilbertData, certifies_defining_ideal,
                                  divide_by_one_minus_t, hilbert_from_lms,
@@ -377,6 +378,23 @@ class TestLocalHilbert:
             data = local_hilbert_function(C, prefix_len=15)
             oracle = C.semigroup.order_filtration_hilbert(15)
             assert list(data.hf_prefix) == oracle
+
+
+class TestPrefixBudget:
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "MAX_HF_PREFIX", 6)
+        data = local_hilbert_function(curve([6, 7, 15]), prefix_len=6)
+        assert data.hf_prefix == (1, 3, 4, 5, 5, 6, 6)
+        with pytest.raises(WorkBudgetExceeded, match="MAX_HF_PREFIX = 6"):
+            local_hilbert_function(curve([6, 7, 15]), prefix_len=7)
+
+    def test_refused_before_the_numerator(self, monkeypatch):
+        computed = []
+        monkeypatch.setattr(hilbert, "hilbert_numerator",
+                            lambda *args: computed.append(args))
+        with pytest.raises(WorkBudgetExceeded, match="MAX_HF_PREFIX"):
+            hilbert_from_lms(LMS_32, 3, hilbert.MAX_HF_PREFIX + 1)
+        assert computed == []
 
 
 class TestNondecreasing:

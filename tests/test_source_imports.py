@@ -1,6 +1,7 @@
 """Every name imported into a ``curvegluing`` module is used there, the
-curve path stays off the ``Polynomial`` engines of ``basis``, and no
-module lists every factorization of a semigroup element.
+curve path stays off the ``Polynomial`` engines of ``basis``, only
+``tangentcone`` completes a curve's ideal, and no module lists every
+factorization of a semigroup element.
 
 A name counts as used when the module reads it (annotations included) or
 exports it in ``__all__``.  ``from __future__`` imports are exempt.
@@ -62,12 +63,17 @@ def test_curve_path_imports_nothing_from_basis(module):
             and node.module == "basis"] == []
 
 
-def enumeration_calls(source: str) -> list[int]:
-    """Lines that call ``all_representations``, the tests' reference."""
+def calls_of(name: str, source: str) -> list[int]:
+    """Lines that call ``name``, as a function or as an attribute."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
-            and "all_representations" in (getattr(node.func, "attr", None),
-                                          getattr(node.func, "id", None))]
+            and name in (getattr(node.func, "attr", None),
+                         getattr(node.func, "id", None))]
+
+
+def enumeration_calls(source: str) -> list[int]:
+    """Lines that call ``all_representations``, the tests' reference."""
+    return calls_of("all_representations", source)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
@@ -75,6 +81,25 @@ def enumeration_calls(source: str) -> list[int]:
 def test_no_factorization_is_listed(path):
     # their number grows like n^(k-1); max_length_representation is bounded
     assert enumeration_calls(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "tangentcone.py"),
+                         ids=lambda p: p.name)
+def test_only_the_cone_completes_a_curve_ideal(path):
+    # one standard basis per curve, in one order rule: tangent_cone's
+    assert calls_of("curve_standard_basis", path.read_text()) == []
+
+
+def test_the_cone_completes_and_a_second_completion_is_found():
+    assert calls_of("curve_standard_basis",
+                    (SRC / "tangentcone.py").read_text()) != []
+    source = ("from .toric import curve_standard_basis\n"
+              "from . import toric\n"
+              "def f(rosales, order):\n"
+              "    a = curve_standard_basis(rosales, order)\n"
+              "    return a, toric.curve_standard_basis(rosales, order)\n")
+    assert calls_of("curve_standard_basis", source) == [4, 5]
 
 
 def test_a_listing_is_found():

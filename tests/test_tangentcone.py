@@ -5,14 +5,15 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from family_samples import random_nice_gluing, random_semigroup
+from family_samples import (index_order_cones, joint_order_decomposition_ok,
+                            paper_priority, random_nice_gluing,
+                            random_semigroup, theorem_priority)
 
 from curvegluing import gluing, toric
 from curvegluing.basis import buchberger, standard_basis
 from curvegluing.errors import (InvalidPriority, SelfCheckFailed,
                                 WorkBudgetExceeded)
-from curvegluing.gluing import (_paper_priority, _theorem_priority,
-                                glued_curve, glued_ideal)
+from curvegluing.gluing import glued_curve, glued_ideal
 from curvegluing.hilbert import local_hilbert_function
 from curvegluing.polyalg import (Polynomial, degrevlex, leading_term,
                                  least_degree_form, negdegrevlex,
@@ -189,7 +190,7 @@ class TestBinomialStandardBasis:
                                       (3, 4, 5), (105, 252, 119, 136)])
     def test_paper_and_scan_curves(self, gens):
         C = curve(gens)
-        for priority in (canonical_priority(C), _paper_priority(C.nvars)):
+        for priority in (canonical_priority(C), paper_priority(C.nvars)):
             assert_same_basis(defining_ideal(C),
                               negdegrevlex(C.nvars, priority), C.names)
 
@@ -198,7 +199,7 @@ class TestBinomialStandardBasis:
         for i in range(40):
             C = curve(random_semigroup(rng, 2 + i % 4, max_gen=23).generators)
             for priority in (canonical_priority(C),
-                             _paper_priority(C.nvars)):
+                             paper_priority(C.nvars)):
                 assert_same_basis(defining_ideal(C),
                                   negdegrevlex(C.nvars, priority), C.names)
 
@@ -207,7 +208,7 @@ class TestBinomialStandardBasis:
         for i in range(30):
             spec = random_nice_gluing(rng, dim1=2 + i % 2, dim2=2 + i // 2 % 2)
             C = glued_curve(spec)
-            theorem = _theorem_priority(len(spec.s1.generators),
+            theorem = theorem_priority(len(spec.s1.generators),
                                         len(spec.s2.generators))
             for priority in (canonical_priority(C), theorem):
                 assert_same_basis(glued_ideal(spec),
@@ -311,11 +312,10 @@ class TestMonomialTimesUnitRefused:
 
     def test_curve_callers_still_refuse(self, monkeypatch):
         # on a curve's ideal a refused reducer is a bug: the cones, the
-        # gluing's leading-ideal check and verify_instance raise it
+        # joint-order completion of the tests' reference and verify_instance
+        # raise it
         spec = gluing.validate_gluing([2, 3], [4, 5], 7, 8)
-        reps = [tangent_cone(C, _paper_priority(C.nvars))
-                for C in (gluing.component_curve(spec, 1),
-                          gluing.component_curve(spec, 2))]
+        reps = index_order_cones(spec)
         rosales = glued_ideal(spec)
         C = curve([6, 7, 15])
 
@@ -326,7 +326,6 @@ class TestMonomialTimesUnitRefused:
         with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
             tangent_cone(C)
         with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
-            gluing._leading_decomposition_ok(spec, *reps, rosales,
-                                             glued_curve(spec))
+            joint_order_decomposition_ok(spec, reps, rosales)
         with pytest.raises(SelfCheckFailed, match="monomial times a unit"):
             gluing.verify_instance(spec)
