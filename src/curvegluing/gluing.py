@@ -238,11 +238,11 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
     """Analyze one gluing instance and evaluate both theorems on it.
 
     Each cone, component or glued, is one standard basis in the canonical
-    order.  Theorem 2 (a nice gluing, component 2's cone CM) promises that
-    the glued leading ideal is E = LM(G1) + LM(G2) + <y1^a1> and that the
-    glued h-polynomial is h1 * h2 * (1 + ... + t^(a1-1)), which
-    ``product_factorization_check`` tests.  The two are equivalent, so
-    ``leading_ideal_decomposition_ok`` is read from the second:
+    order.  Theorem 2 (nice, H1 nondecreasing, component 2's cone CM)
+    promises that the glued leading ideal is E = LM(G1) + LM(G2) + <y1^a1>
+    and that the glued h-polynomial is h1 * h2 * (1 + ... + t^(a1-1)),
+    which ``product_factorization_check`` tests.  The two are equivalent,
+    so ``leading_ideal_decomposition_ok`` is read from the second:
 
     - Let J be the local degree order with the y-block above the x-block,
       each in its cone's order.  Each component basis keeps its leads under

@@ -531,20 +531,6 @@ def digest_specs() -> list[GluingSpec]:
             for row in json.loads(GLUING_DIGESTS.read_text())]
 
 
-def config_member_specs() -> list[GluingSpec]:
-    """Every valid member of the shipped configs."""
-    specs = []
-    for name in ("family_q.json", "family_r.json"):
-        tpl = FamilyTemplate.from_config(json.loads((CONFIGS / name).read_text()))
-        for v in range(tpl.start, tpl.stop + 1):
-            try:
-                specs.append(validate_gluing(list(tpl.s1), list(tpl.s2),
-                                             tpl.p_expr(v), tpl.q_expr(v)))
-            except GluingError:
-                pass
-    return specs
-
-
 class TestLeadingDecompositionFromTheIdentity:
     """``leading_ideal_decomposition_ok`` is read off the Hilbert-series
     factorization; the joint-order completion of ``family_samples`` is the
@@ -568,7 +554,8 @@ class TestLeadingDecompositionFromTheIdentity:
         assert self.assert_agrees(digest_specs()) == 146
 
     def test_config_members(self):
-        specs = config_member_specs()
+        # every member: q = 2..30 and r = 1..25
+        specs = shipped_config_specs({"family_q.json": 29, "family_r.json": 25})
         assert len(specs) == 50
         assert self.assert_agrees(specs) == 50
 
@@ -816,18 +803,21 @@ class TestComponentCache:
         real = toric.curve_standard_basis
 
         def spying(gens, order):
-            completed.append(order.nvars)
+            completed.append(order.priority)
             return real(gens, order)
 
         for module in (gl, tc, toric):
             if hasattr(module, "curve_standard_basis"):
                 monkeypatch.setattr(module, "curve_standard_basis", spying)
         spec = validate_gluing([3, 4, 5], [4, 5], 7, 8)
+        glued = canonical_priority(glued_curve(spec))
+        assert glued == (2, 4, 1, 3, 0)  # glued generators 24, 32, 40, 28, 35
         verify_instance(spec)
-        assert completed == [3, 2, 5]  # both components, then the glued curve
+        # both components, then the glued curve, each in the canonical order
+        assert completed == [(2, 1, 0), (1, 0), glued]
         completed.clear()
         verify_instance(spec)
-        assert completed == [5]
+        assert completed == [glued]
 
     def test_failing_component_raises_on_every_call(self, monkeypatch):
         import curvegluing.gluing as gl

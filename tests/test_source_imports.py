@@ -71,16 +71,12 @@ def calls_of(name: str, source: str) -> list[int]:
                          getattr(node.func, "id", None))]
 
 
-def enumeration_calls(source: str) -> list[int]:
-    """Lines that call ``all_representations``, the tests' reference."""
-    return calls_of("all_representations", source)
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_factorization_is_listed(path):
-    # their number grows like n^(k-1); max_length_representation is bounded
-    assert enumeration_calls(path.read_text()) == []
+    # their number grows like n^(k-1); max_length_representation is bounded;
+    # all_representations stays as the tests' reference
+    assert calls_of("all_representations", path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
@@ -106,4 +102,4 @@ def test_a_listing_is_found():
     source = ("def f(S, n):\n"
               "    reps = S.all_representations(n)\n"
               "    return all_representations(S, n)\n")
-    assert enumeration_calls(source) == [2, 3]
+    assert calls_of("all_representations", source) == [2, 3]
