@@ -5,9 +5,10 @@ use the ordinary division algorithm with full tail reduction; local orders
 use Mora's weak normal form with the ecart-controlled reductor set, and tails
 are never reduced (full reduction need not terminate in a local ring).
 
-These algorithms take any polynomials and serve ``ideal --raw`` and the
-tests.  The ideals of monomial curves run the same loop on exponent pairs
-(``toric._complete_binomials``), which shares this module's pair criteria.
+These algorithms take any polynomials.  They are library functions and
+the tests' reference; no command runs them.  The ideals of monomial curves
+run the same loop on exponent pairs (``toric._complete_binomials``), which
+shares this module's pair criteria.
 """
 
 from __future__ import annotations

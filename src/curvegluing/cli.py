@@ -15,12 +15,10 @@ import sys
 
 from . import gluing as gl
 from . import semigroup as sg
-from .basis import buchberger, standard_basis
-from .errors import (DomainError, MalformedConfig, MalformedPolynomial,
-                     SelfCheckFailed, TheoremViolation)
+from .errors import (DomainError, MalformedConfig, SelfCheckFailed,
+                     TheoremViolation)
 from .hilbert import local_hilbert_function
-from .polyalg import (degrevlex, infer_variable_names, is_variable_name,
-                      negdegrevlex, parse_polynomial, polynomial_to_str)
+from .polyalg import degrevlex, polynomial_to_str
 from .tangentcone import tangent_cone
 from .toric import MonomialCurve, as_polynomial, defining_ideal
 from .toric import curve as make_curve
@@ -73,16 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.set_defaults(func=cmd_semigroup)
 
-    p = sub.add_parser("ideal", help="defining ideal of a monomial curve, "
-                                     "or a basis of raw polynomials")
-    p.add_argument("generators", nargs="*", type=_parse_gens,
+    p = sub.add_parser("ideal", help="defining ideal of a monomial curve")
+    p.add_argument("generators", nargs="+", type=_parse_gens,
                    help="curve generators")
-    p.add_argument("--raw", help="semicolon-separated polynomials instead of a curve")
-    p.add_argument("--vars", help="needs --raw: comma-separated variable names")
-    p.add_argument("--local", action="store_true",
-                   help="needs --raw: standard basis under a local order")
-    p.add_argument("--order", help="needs --raw: variable priority, highest "
-                                   "first (comma separated)")
     _common_flags(p)
     p.set_defaults(func=cmd_ideal)
 
@@ -167,7 +158,8 @@ def _int_at_least(low: int):
 def _openable_path(path: str, mode: str = "r") -> str:
     """An argparse ``type``: a path that opens in ``mode``, else exit 2.
 
-    Mode "a" probes a path for writing without truncating it.
+    Mode "a" probes a path for writing without truncating it; it creates
+    a missing file, which ``cmd_scan`` removes again if the scan fails.
     """
     try:
         with open(path, mode):
@@ -208,15 +200,6 @@ def cmd_semigroup(args) -> dict:
 
 
 def cmd_ideal(args) -> dict:
-    if args.raw is not None:
-        if args.generators:
-            raise argparse.ArgumentTypeError("--raw takes no curve generators")
-        return _raw_basis(args)
-    for flag in ("--vars", "--local", "--order"):
-        if getattr(args, flag[2:]):
-            raise argparse.ArgumentTypeError(f"{flag} needs --raw")
-    if not args.generators:
-        raise DomainError("pass curve generators or --raw")
     C = make_curve(_flat(args.generators))
     gens = defining_ideal(C)
     return {
@@ -226,34 +209,6 @@ def cmd_ideal(args) -> dict:
                        for g in gens],
         "minimal_generator_count": len(gens),
         "complete_intersection": len(gens) == C.nvars - 1,
-    }
-
-
-def _raw_basis(args) -> dict:
-    texts = [t.strip() for t in args.raw.split(";")]
-    for i, text in enumerate(texts):
-        if not text:
-            raise MalformedPolynomial(
-                f"--raw piece {i + 1} of {len(texts)} is empty in {args.raw!r}")
-    names = tuple(args.vars.split(",")) if args.vars else \
-        tuple(infer_variable_names(args.raw))
-    if len(set(names)) != len(names) or \
-            not all(map(is_variable_name, names)):
-        raise DomainError(
-            f"--vars must be distinct variable names, got {list(names)}")
-    polys = [parse_polynomial(t, names) for t in texts]
-    priority = _parse_priority(args.order, names) if args.order else None
-    if args.local:
-        order = negdegrevlex(len(names), priority)
-        result = standard_basis(polys, order)
-    else:
-        order = degrevlex(len(names), priority)
-        result = buchberger(polys, order)
-    return {
-        "variables": list(names),
-        "order": "negdegrevlex" if args.local else "degrevlex",
-        "basis": [polynomial_to_str(g, names, order) for g in result.elements],
-        "leading_monomials": [_mono_str(m, names) for m in result.leads],
     }
 
 
@@ -340,16 +295,25 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_scan(args) -> dict:
+    import os
+
     with open(args.config) as fh:
         try:
             cfg = json.load(fh)
         except ValueError as exc:  # not JSON, or not text
             raise MalformedConfig(f"{args.config}: {exc}") from None
     template = gl.FamilyTemplate.from_config(cfg)
+    created = False
     if template.output:
+        created = not os.path.exists(template.output)
         _openable_path(template.output, "a")
-    records = gl.scan_family(template, jobs=args.jobs,
-                             cross_check_ideal=args.cross_check)
+    try:
+        records = gl.scan_family(template, jobs=args.jobs,
+                                 cross_check_ideal=args.cross_check)
+    except BaseException:
+        if created:  # the probe made it; a failed scan leaves no file
+            os.remove(template.output)
+        raise
     if template.output:
         with open(template.output, "w") as fh:
             for rec in records:
@@ -371,7 +335,8 @@ def cmd_scan(args) -> dict:
     }
     if template.output:
         summary["output"] = template.output
-    summary["_lines"] = _scan_lines(template, summary)
+    if not args.json:
+        summary["_lines"] = _scan_lines(template, summary)
     return summary
 
 

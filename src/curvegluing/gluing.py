@@ -16,11 +16,12 @@ list of exponent pairs ``(lead, trail)`` (``toric.Binomial``).
 A family fixes both components and varies p and q, so each component's
 analysis (presentation, tangent cone, Hilbert data) is cached per process,
 as ``semigroup._apery_table`` caches the Apéry table.  The key is the
-component's generator tuple, its block (x or y) and the Hilbert-function
-prefix length.  One ``verify`` CLI call gains nothing; scans and library
-loops over many gluings do.  Of the component slots in one pass of each
-benchmark workload, 96 of 100 repeat an earlier one in ``scan_xcheck``,
-432 of 436 in ``scan_plain`` and 222 of 400 in ``nice_sweep``.
+component's generator tuple and the Hilbert-function prefix length; the
+block (x or y) it fills does not enter.  One ``verify`` CLI call gains
+nothing; scans and library loops over many gluings do.  Of the component
+slots in one pass of each benchmark workload, 96 of 100 repeat an earlier
+one in ``scan_xcheck``, 432 of 436 in ``scan_plain`` and 272 of 400 in
+``nice_sweep``.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def validate_gluing(s1, s2, p: int, q: int) -> GluingSpec:
 def _as_semigroup(s) -> sg.NumericalSemigroup:
     if isinstance(s, sg.NumericalSemigroup):
         return s
-    return sg.minimal_generators(list(s))
+    return sg.cached_semigroup(tuple(s))
 
 
 # --------------------------------------------------------------------------
@@ -153,9 +154,9 @@ def glued_ideal(spec: GluingSpec,
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     if g1 is None:
-        g1 = _component_analysis(spec.s1.generators, 1, None)[0]
+        g1 = _component_analysis(spec.s1.generators, None)[0]
     if g2 is None:
-        g2 = _component_analysis(spec.s2.generators, 2, None)[0]
+        g2 = _component_analysis(spec.s2.generators, None)[0]
     out = [_embed(g, before=0, after=k) for g in g1]
     out += [_embed(g, before=l, after=0) for g in g2]
     bridge_x = tuple(spec.b_witness.coefficients) + (0,) * k
@@ -176,19 +177,20 @@ def _block_curve(gens: tuple[int, ...], which: int) -> MonomialCurve:
 
 
 @lru_cache(maxsize=1024)
-def _component_analysis(gens: tuple[int, ...], which: int,
-                        hf_prefix_len: int | None
+def _component_analysis(gens: tuple[int, ...], hf_prefix_len: int | None
                         ) -> tuple[tuple[Binomial, ...], TangentConeReport,
                                    HilbertData]:
     """Presentation, tangent cone and Hilbert data of a component curve.
 
-    ``which`` names the block (1: x1.., 2: y1..).  The cone is taken in the
-    canonical order, as the glued cone is, and the data has passed
+    No variable name enters any of the three, so the curve is named x1..
+    whichever block it fills, and a tuple that is S1 in one gluing and S2
+    in another is analysed once.  The cone is taken in the canonical order,
+    as the glued cone is, and the data has passed
     :func:`_self_check_cm_multiplicity`.  Computed once per process for each
     key; an exception is not cached, so a failing component raises on every
     call.
     """
-    C = _block_curve(gens, which)
+    C = _block_curve(gens, 1)
     ideal = tuple(defining_ideal(C))
     rep = tangent_cone(C, ideal_gens=ideal)
     hd = local_hilbert_function(C, hf_prefix_len, report=rep)
@@ -270,8 +272,8 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
     ``complete_intersection`` is the presentation size: minimal G1 and G2 and
     the bridge form a minimal presentation of the gluing (Rosales 1997).
     """
-    g1, rep1, hd1 = _component_analysis(spec.s1.generators, 1, hf_prefix_len)
-    g2, rep2, hd2 = _component_analysis(spec.s2.generators, 2, hf_prefix_len)
+    g1, rep1, hd1 = _component_analysis(spec.s1.generators, hf_prefix_len)
+    g2, rep2, hd2 = _component_analysis(spec.s2.generators, hf_prefix_len)
 
     glued = glued_curve(spec)
     rosales = glued_ideal(spec, g1, g2)

@@ -445,14 +445,3 @@ def is_variable_name(name) -> bool:
     """Is ``name`` a string that the grammar reads as one variable?"""
     return isinstance(name, str) and _NAME.fullmatch(name) is not None
 
-
-def infer_variable_names(text: str) -> list[str]:
-    """Collect variable names from raw polynomial text, x-block then y-block."""
-    seen = set(_NAME.findall(text))
-    names = sorted(seen, key=_name_key)
-    return names
-
-
-def _name_key(name):
-    m = re.fullmatch(r"([a-zA-Z]+)(\d*)", name)
-    return (m.group(1), int(m.group(2) or 0))

@@ -280,6 +280,16 @@ def _longest_rows(gens: tuple[int, ...], top: int) -> list:
 
 
 @lru_cache(maxsize=1024)
+def cached_semigroup(raw: tuple[int, ...]) -> NumericalSemigroup:
+    """``minimal_generators(raw)``, built once per process for each tuple.
+
+    A family scan validates the same two generator lists for every member.
+    An exception is not cached, so a bad list raises on every call.
+    """
+    return minimal_generators(raw)
+
+
+@lru_cache(maxsize=1024)
 def _apery_table(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Ap(S, m) for m = gens[0], and per residue the last generator used.
 

@@ -1,16 +1,16 @@
-"""A time limit of its own for every test, and a cold component cache.
+"""A time limit of its own for every test, and cold gluing caches.
 
 A stalled test then fails with a traceback at the line it was stuck on,
 and the rest of the suite still runs.  Each test starts with
-``gluing._component_analysis`` empty, so a spy on the component
-computations sees them whatever ran before.
+``gluing._component_analysis`` and ``semigroup.cached_semigroup`` empty, so
+a spy on the component computations sees them whatever ran before.
 """
 
 import signal
 
 import pytest
 
-from curvegluing import gluing
+from curvegluing import gluing, semigroup
 
 # the slowest test takes about 3 s on a 2-vCPU machine
 TIME_LIMIT_S = 60
@@ -41,3 +41,4 @@ def pytest_runtest_call(item):
 @pytest.fixture(autouse=True)
 def cold_component_cache():
     gluing._component_analysis.cache_clear()
+    semigroup.cached_semigroup.cache_clear()

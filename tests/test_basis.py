@@ -64,6 +64,17 @@ class TestBuchberger:
         target = parse_polynomial("x1^3 - x2^2", names)
         assert any(g == target for g in basis.elements)
 
+    def test_degrevlex_basis_of_a_parametrization(self):
+        # no elimination order, so t stays in the basis
+        names = ("t", "x1", "x2")
+        gens = [parse_polynomial("t^2 - x1", names),
+                parse_polynomial("t^3 - x2", names)]
+        basis = buchberger(gens, degrevlex(3))
+        assert list(basis.elements) == [
+            parse_polynomial(t, names)
+            for t in ("t^2 - x1", "t*x1 - x2", "x1^2 - t*x2")]
+        assert basis.leads == ((2, 0, 0), (1, 1, 0), (0, 2, 0))
+
     def test_binomial_closure(self):
         rng = random.Random(61)
         for _ in range(30):

@@ -80,34 +80,11 @@ class TestIdealCommand:
         assert "complete_intersection: True" in out
         assert calls == [(6, 7, 15)]
 
-    def test_raw_global_basis(self, capsys):
-        code, out, _ = run_cli(capsys, "ideal", "--raw",
-                               "t^2 - x1; t^3 - x2", "--vars", "t,x1,x2")
-        assert code == 0
-        assert "t" in out
-
-    def test_raw_local_standard_basis(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "ideal", "--raw", "x1^5 - x3^2; x1*x3 - x2^3",
-            "--local", "--order", "x2,x3,x1", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["order"] == "negdegrevlex"
-        assert set(payload["leading_monomials"]) == \
-            {"x3^2", "x1*x3", "x2^3*x3", "x2^6"}
-
-    def test_raw_local_basis_past_the_mora_budget(self, capsys):
-        # Mora's normal form ran for minutes on this input before it had a
-        # step budget
-        start = time.perf_counter()
-        code, out, err = run_cli(
-            capsys, "ideal", "--raw",
-            "x2^4 - x2^3*x3; x3^5 - x1*x2*x3; "
-            "-2*x2 + x1^3*x2*x3^2 - 3*x1*x3^2",
-            "--vars", "x1,x2,x3", "--local", "--order", "x3,x1,x2")
-        assert time.perf_counter() - start < 5
-        assert code == 1 and out == ""
-        assert "[WorkBudget]" in err
+    def test_generators_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ideal"])
+        assert exc.value.code == 2
+        assert "generators" in capsys.readouterr().err
 
 
 class TestTangentConeCommand:
@@ -236,8 +213,8 @@ VERIFY_PATH_LINES = [
 @pytest.mark.parametrize("line", VERIFY_PATH_LINES)
 def test_curve_commands_never_enter_the_polynomial_engine(line, capsys,
                                                           monkeypatch):
-    # curve ideals run on exponent pairs alone; basis.py serves only
-    # ideal --raw, so its completion and both normal forms must stay idle
+    # curve ideals run on exponent pairs alone; no command reaches
+    # basis.py, so its completion and both normal forms must stay idle
     import curvegluing.basis as basis
 
     def idle(*args, **kwargs):
@@ -283,6 +260,27 @@ class TestScanCommand:
         assert len(lines) == 8
         assert json.loads(lines[0])["q"] == 2
 
+    def test_text_lines_only_for_text_output(self, capsys, tmp_path,
+                                             monkeypatch):
+        import curvegluing.cli as cli
+
+        cfg_path = tmp_path / "family.json"
+        cfg_path.write_text(json.dumps(TestExitCodes.CFG))
+        real, built = cli._scan_lines, []
+
+        def spy(template, summary):
+            built.append(template.parameter)
+            return real(template, summary)
+
+        monkeypatch.setattr(cli, "_scan_lines", spy)
+        code, out, _ = run_cli(capsys, "scan", "--config", str(cfg_path),
+                               "--json")
+        assert code == 0 and json.loads(out)["instances"] == 3
+        assert built == []
+        code, out, _ = run_cli(capsys, "scan", "--config", str(cfg_path))
+        assert code == 0 and out.startswith("r in 1..3: ")
+        assert built == ["r"]
+
     def test_repository_config_runs(self, capsys):
         from pathlib import Path
 
@@ -318,19 +316,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("raw", ["(x1+x2)^2", "x1^y", "3/0*x1", "x1 $ x2",
                                      "x1 - - x2"])
-    def test_malformed_polynomial(self, capsys, raw):
-        code, _, err = run_cli(capsys, "ideal", "--raw", raw)
+    def test_malformed_polynomial(self, capsys, tmp_path, raw):
+        # named x1, the parameter is a known variable of every text here
+        code, _, err = self._scan(capsys, tmp_path,
+                                  {**self.CFG, "parameter": "x1", "p": raw})
         assert code == 1
-        assert "MalformedPolynomial" in err
-
-    @pytest.mark.parametrize("raw,piece", [(";", "piece 1 of 2"),
-                                           ("x1 - x2;;", "piece 2 of 3"),
-                                           ("; x1", "piece 1 of 2")])
-    def test_empty_raw_piece(self, capsys, raw, piece):
-        code, out, err = run_cli(capsys, "ideal", "--raw", raw)
-        assert code == 1
-        assert "MalformedPolynomial" in err and piece in err
-        assert out == ""
+        assert "MalformedConfig" in err and "MalformedPolynomial" in err
 
     @pytest.mark.parametrize("argv,flag", [
         (["6", "7", "15", "--local"], "--local"),
@@ -339,24 +330,13 @@ class TestExitCodes:
         (["6", "7", "15", "--raw", "x1 - x2"], "--raw"),
     ])
     def test_ideal_flag_needs_its_mode(self, capsys, argv, flag):
-        # --local, --order and --vars shape a --raw basis only, and --raw
-        # replaces the curve; neither is ignored without a word
+        # ideal takes a curve alone; the flags of its retired --raw mode
+        # are usage errors, never ignored without a word
         with pytest.raises(SystemExit) as exc:
             main(["ideal", *argv])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == ""
-
-    @pytest.mark.parametrize("raw,names", [
-        ("x1 + x2", "x1,x2,x2"),    # a repeated name
-        ("x1 + x2", "x1,x2,"),      # an empty name
-        ("x1", "x1,x_2"),           # not one variable in the grammar
-        ("x1", "x1, x2"),
-    ])
-    def test_vars_must_be_distinct_names(self, capsys, raw, names):
-        code, _, err = run_cli(capsys, "ideal", "--raw", raw, "--vars", names)
-        assert code == 1
-        assert "--vars" in err
 
     @pytest.mark.parametrize("p", ["-", "4*r +"])
     def test_dangling_operator_in_config(self, capsys, tmp_path, p):
@@ -436,6 +416,22 @@ class TestExitCodes:
                                 {**self.CFG, "output": str(output)})
         assert code == 1
         assert output.read_text() == "earlier records\n"
+
+    def test_no_output_left_when_scan_fails(self, capsys, tmp_path,
+                                            monkeypatch):
+        # probing the path for writing creates it; the failed scan removes it
+        import curvegluing.gluing as gl
+        from curvegluing.errors import SelfCheckFailed
+
+        def broken(spec, cross_check_ideal=True, hf_prefix_len=None):
+            raise SelfCheckFailed("planted")
+
+        monkeypatch.setattr(gl, "verify_instance", broken)
+        output = tmp_path / "records.jsonl"
+        code, _, _ = self._scan(capsys, tmp_path,
+                                {**self.CFG, "output": str(output)})
+        assert code == 1
+        assert not output.exists()
 
     def test_self_check_failure_prints_bundle(self, capsys, tmp_path,
                                               monkeypatch):

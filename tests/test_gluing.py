@@ -9,11 +9,12 @@ import pytest
 
 from curvegluing import semigroup as sg
 from curvegluing.basis import standard_basis
-from curvegluing.errors import (EmptyRange, GcdViolation, GeneratorCollision,
-                                GluingError, MalformedConfig,
-                                MalformedPolynomial, NotInSemigroup,
-                                PIsMinimalGenerator, QIsMinimalGenerator,
-                                SelfCheckFailed, TheoremViolation)
+from curvegluing.errors import (EmptyRange, GcdNotOne, GcdViolation,
+                                GeneratorCollision, GluingError,
+                                MalformedConfig, MalformedPolynomial,
+                                NotInSemigroup, PIsMinimalGenerator,
+                                QIsMinimalGenerator, SelfCheckFailed,
+                                TheoremViolation)
 from curvegluing.gluing import (FamilyTemplate, GluingSpec, glued_curve,
                                 glued_ideal,
                                 parse_linear, report_to_record, scan_family,
@@ -835,3 +836,35 @@ class TestComponentCache:
                 verify_instance(spec)
         # the first component's cone fails, and is tried again, both times
         assert cones == [(2, 3), (2, 3)]
+
+    def test_component_in_either_block_analysed_once(self, monkeypatch):
+        import curvegluing.gluing as gl
+        import curvegluing.tangentcone as tc
+        import curvegluing.toric as toric
+
+        verify_instance(validate_gluing([2, 3], [4, 5], 7, 8))
+        eliminated = self.spy(monkeypatch, "defining_ideal", (gl, tc, toric))
+        cones = self.spy(monkeypatch, "tangent_cone", (gl, tc))
+        swapped = validate_gluing([4, 5], [2, 3], 9, 5)
+        verify_instance(swapped)
+        # <4, 5> is now S1 and <2, 3> is S2: only the glued cone is new
+        assert eliminated == [] and cones == [swapped.glued_generators]
+
+    def test_each_semigroup_validated_once(self, monkeypatch):
+        seen = []
+        real = sg.minimal_generators
+
+        def spying(raw):
+            seen.append(tuple(raw))
+            return real(raw)
+
+        monkeypatch.setattr(sg, "minimal_generators", spying)
+        first = validate_gluing([5, 12], [7, 8], 17, 21)
+        second = validate_gluing([5, 12], [7, 8], 22, 23)
+        assert seen == [(5, 12), (7, 8)]
+        assert second.s1 is first.s1 and second.s2 is first.s2
+        # a bad list is not cached: it raises on every call
+        for _ in range(2):
+            with pytest.raises(GcdNotOne):
+                validate_gluing([4, 6], [7, 8], 17, 21)
+        assert seen == [(5, 12), (7, 8), (4, 6), (4, 6)]

@@ -1,7 +1,7 @@
-"""Every name imported into a ``curvegluing`` module is used there, the
-curve path stays off the ``Polynomial`` engines of ``basis``, only
-``tangentcone`` completes a curve's ideal, and no module lists every
-factorization of a semigroup element.
+"""Every name imported into a ``curvegluing`` module is used there, no
+module but ``__init__`` and ``toric`` imports from ``basis`` (the
+``Polynomial`` engines), only ``tangentcone`` completes a curve's ideal,
+and no module lists every factorization of a semigroup element.
 
 A name counts as used when the module reads it (annotations included) or
 exports it in ``__all__``.  ``from __future__`` imports are exempt.
@@ -54,13 +54,38 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["dr (line 3)"]
 
 
-@pytest.mark.parametrize("module", ["tangentcone", "gluing"])
-def test_curve_path_imports_nothing_from_basis(module):
-    # curve ideals reach a standard basis through toric alone
-    tree = ast.parse((SRC / f"{module}.py").read_text())
-    assert [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and node.module == "basis"] == []
+def basis_imports(source: str) -> list[int]:
+    """Lines that import ``basis`` or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        if any(m.rsplit(".", 1)[-1] == "basis" for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.stem not in ("__init__", "toric")),
+    ids=lambda p: p.stem)
+def test_curve_path_imports_nothing_from_basis(path):
+    # every command runs on curves, whose ideals reach a standard basis
+    # through toric alone; __init__ exports the general engine
+    assert basis_imports(path.read_text()) == []
+
+
+def test_an_import_from_basis_is_found():
+    source = ("from .basis import buchberger\n"
+              "from . import basis\n"
+              "import curvegluing.basis\n"
+              "from curvegluing.basis import standard_basis as sb\n"
+              "from .polyalg import spoly\n"
+              "import curvegluing.toric\n")
+    assert basis_imports(source) == [1, 2, 3, 4]
 
 
 def calls_of(name: str, source: str) -> list[int]:
