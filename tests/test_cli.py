@@ -86,6 +86,40 @@ class TestIdealCommand:
         assert exc.value.code == 2
         assert "generators" in capsys.readouterr().err
 
+    def test_raw_local_standard_basis(self, capsys):
+        # the retired ideal --raw mode took this basis's two generators;
+        # it is refused as usage, and the curve they come from gives the
+        # same local standard basis
+        with pytest.raises(SystemExit) as exc:
+            main(["ideal", "--raw", "x1^5 - x3^2; x1*x3 - x2^3",
+                  "--local", "--order", "x2,x3,x1", "--json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        code, out, _ = run_cli(capsys, "tangent-cone", "6", "7", "15",
+                               "--order", "x2,x3,x1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["leading_monomials"]) == \
+            {"x3^2", "x1*x3", "x2^3*x3", "x2^6"}
+        assert {"x3^2 - x1^5", "x1*x3 - x2^3"} <= \
+            set(payload["standard_basis"])
+
+    def test_raw_local_basis_past_the_mora_budget(self, capsys):
+        # Mora's normal form ran for minutes on this input before it had a
+        # step budget; no command reaches it now, so the input is a usage
+        # error before any engine runs
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["ideal", "--raw",
+                  "x2^4 - x2^3*x3; x3^5 - x1*x2*x3; "
+                  "-2*x2 + x1^3*x2*x3^2 - 3*x1*x3^2",
+                  "--vars", "x1,x2,x3", "--local", "--order", "x3,x1,x2"])
+        assert time.perf_counter() - start < 5
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[WorkBudget]" not in captured.err
+
 
 class TestTangentConeCommand:
     def test_example_3_2_component(self, capsys):
