@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import gluing as gl
 from . import semigroup as sg
@@ -42,14 +43,53 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     lines = payload.pop("_lines", None)
     if args.json:
-        out = json.dumps({"schema": SCHEMA, "command": args.command, **payload},
-                         indent=2, sort_keys=True)
+        out = _json({"schema": SCHEMA, "command": args.command, **payload})
     elif lines is not None:
         out = "\n".join(lines)
     else:
         out = "\n".join(f"{k}: {v}" for k, v in payload.items())
     print(out)
     return 0
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, for ``str`` keys.
+
+    With any ``indent``, ``json.dumps`` runs the pure-Python encoder on
+    Python 3.10 to 3.13; this writer gives the same text with one ``join``
+    per container and the C string encoder.  ``bool`` and ``None`` are
+    tested before ``int``, as ``True`` is an ``int``.  A non-``str`` key
+    (in the C string encoder) or a value of another type raises
+    ``TypeError``.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if all(type(v) is int for v in value):
+            parts = map(int.__repr__, value)
+        else:
+            parts = (_json(v, inner) for v in value)
+        opening, closing = "[", "]"
+    elif isinstance(value, dict):
+        parts = (f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}"
+                 for k in sorted(value))
+        opening, closing = "{", "}"
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + \
+        f"\n{indent}{closing}"
 
 
 @functools.cache

@@ -126,12 +126,22 @@ def _as_semigroup(s) -> sg.NumericalSemigroup:
 # --------------------------------------------------------------------------
 
 def glued_curve(spec: GluingSpec) -> MonomialCurve:
-    """Monomial curve on the scaled generators, x-block then y-block."""
+    """Monomial curve on the scaled generators, x-block then y-block.
+
+    Its Apéry table is put in ``semigroup._apery_table``'s cache first,
+    built from the component tables by the gluing identity
+    (:func:`semigroup.glued_apery_table`); the ``MonomialCurve`` validates
+    the glued generators on it, and the Gorenstein verdict and the
+    defining-ideal certificate read it.  A glued multiplicity above
+    ``semigroup.MAX_MULTIPLICITY`` raises ``WorkBudgetExceeded`` there.
+    """
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     names = tuple(f"x{i + 1}" for i in range(l)) + \
         tuple(f"y{j + 1}" for j in range(k))
     gens = spec.glued_generators
+    sg.glued_apery_table(spec.s1.generators, spec.s2.generators,
+                         spec.p, spec.q)
     try:
         return MonomialCurve(gens, names)
     except ValueError:
@@ -165,15 +175,8 @@ def glued_ideal(spec: GluingSpec,
     return out
 
 
-def component_curve(spec: GluingSpec, which: int) -> MonomialCurve:
-    gens = spec.s1.generators if which == 1 else spec.s2.generators
-    return _block_curve(gens, which)
-
-
-def _block_curve(gens: tuple[int, ...], which: int) -> MonomialCurve:
-    letter = "x" if which == 1 else "y"
-    return MonomialCurve(gens, tuple(f"{letter}{i + 1}"
-                                     for i in range(len(gens))))
+def _block_curve(gens: tuple[int, ...]) -> MonomialCurve:
+    return MonomialCurve(gens, tuple(f"x{i + 1}" for i in range(len(gens))))
 
 
 @lru_cache(maxsize=1024)
@@ -190,7 +193,7 @@ def _component_analysis(gens: tuple[int, ...], hf_prefix_len: int | None
     key; an exception is not cached, so a failing component raises on every
     call.
     """
-    C = _block_curve(gens, 1)
+    C = _block_curve(gens)
     ideal = tuple(defining_ideal(C))
     rep = tangent_cone(C, ideal_gens=ideal)
     hd = local_hilbert_function(C, hf_prefix_len, report=rep)

@@ -3,15 +3,22 @@
 A semigroup is stored by its minimal generating set and read through its
 Apéry set Ap(S, m) with respect to the multiplicity m: n is a member exactly
 when n >= Ap[n mod m], the Frobenius number is max Ap - m, and symmetry is a
-property of Ap alone.  One cached table per generator tuple holds Ap(S, m)
-and the back-pointers that rebuild a representation.  It is built by
-Böcker and Lipták's round robin (Algorithmica 48, 2007) in O(k*m) steps,
-and refused with :class:`WorkBudgetExceeded` before allocation when m
-exceeds ``MAX_MULTIPLICITY``.  Each back-pointer names a generator g with
-Ap[r] - g again an Apéry element, so following them from any Apéry element
-reaches 0.  Membership from that table also drives the order-filtration
-Hilbert oracle, which is deliberately independent of all polynomial
-machinery.
+property of Ap alone.  One cache, keyed by the sorted generator tuple,
+holds Ap(S, m) and the back-pointers that rebuild a representation.  Each
+back-pointer names a generator g with Ap[r] - g again an Apéry element, so
+following them from any Apéry element reaches 0.  A table is built one of
+two ways, and refused with :class:`WorkBudgetExceeded` before allocation
+when m exceeds ``MAX_MULTIPLICITY``:
+
+- a glued tuple, when ``gluing.glued_curve`` asks for it, from its
+  components' tables by the gluing identity
+  Ap(S, q*m1) = q*Ap(S1, m1) + p*Ap(S2, q), in O(m) steps, with two
+  self-checks (:func:`glued_apery_table`);
+- every other tuple by Böcker and Lipták's round robin (Algorithmica 48,
+  2007) in O(k*m) steps.  For glued tuples it is the tests' reference.
+
+Membership from the table also drives the order-filtration Hilbert oracle,
+which is deliberately independent of all polynomial machinery.
 
 The gluing witnesses need a representation of largest coefficient sum
 (Barron, O'Neill & Pelayo, Math. Comp. 86, 2017, for such dynamic
@@ -34,7 +41,7 @@ from functools import lru_cache
 from math import gcd, inf
 
 from .errors import (EmptyGenerators, GcdNotOne, NonPositiveGenerator,
-                     WorkBudgetExceeded)
+                     SelfCheckFailed, WorkBudgetExceeded)
 
 # the largest multiplicity whose Apéry table is built: one residue per entry
 MAX_MULTIPLICITY = 10**6
@@ -289,8 +296,110 @@ def cached_semigroup(raw: tuple[int, ...]) -> NumericalSemigroup:
     return minimal_generators(raw)
 
 
+AperyTable = tuple[tuple[int, ...], tuple[int, ...]]
+
+# the builder a miss of ``_apery_table`` on its tuple calls instead of the
+# round robin; an entry lives only for one ``glued_apery_table`` call
+_builders: dict = {}
+
+
 @lru_cache(maxsize=1024)
-def _apery_table(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _apery_table(gens: tuple[int, ...]) -> AperyTable:
+    """Ap(S, m) for m = gens[0], and per residue the last generator used.
+
+    The one cache of Apéry tables, keyed by the sorted generator tuple.  A
+    glued tuple that :func:`glued_apery_table` asks for is built by
+    :func:`_glued_table` from the gluing identity; every other tuple by
+    :func:`_round_robin`.  Both satisfy the back-pointer invariant
+    ``contains`` relies on, and both are refused with
+    :class:`WorkBudgetExceeded`, before allocating, when m exceeds
+    ``MAX_MULTIPLICITY``.
+    """
+    return _builders.get(gens, _round_robin)(gens)
+
+
+def glued_apery_table(gens1: tuple[int, ...], gens2: tuple[int, ...],
+                      p: int, q: int) -> AperyTable:
+    """``_apery_table`` of the glued tuple of S = q*S1 + p*S2.
+
+    On a miss the table is built from the components' tables by
+    :func:`_glued_table` and cached under the sorted glued generators, so
+    the ``NumericalSemigroup`` of the glued curve reads it.  Requires
+    gcd(p, q) = 1, p in S1 and q in S2, as :func:`gluing.validate_gluing`
+    checks.
+    """
+    glued = tuple(sorted([q * m for m in gens1] + [p * n for n in gens2]))
+    _builders[glued] = lambda _: _glued_table(gens1, gens2, p, q, glued)
+    try:
+        return _apery_table(glued)
+    finally:
+        del _builders[glued]
+
+
+def _glued_table(gens1: tuple[int, ...], gens2: tuple[int, ...], p: int,
+                 q: int, glued: tuple[int, ...]) -> AperyTable:
+    """Ap(S, m) of the gluing S = q*S1 + p*S2 on the sorted tuple ``glued``.
+
+    Let m1, n1 be the multiplicities of S1, S2.  If q*m1 < p*n1, then
+    m = q*m1 and Ap(S, m) = q*Ap(S1, m1) + p*Ap(S2, q) (Delorme 1976;
+    Rosales & García-Sánchez, *Numerical Semigroups*, 2009, ch. 8);
+    otherwise m = p*n1 and Ap(S, m) = p*Ap(S2, n1) + q*Ap(S1, p).  The
+    first table is the component's cached one; the auxiliary Ap(S2, q) or
+    Ap(S1, p) comes from :func:`_round_robin` with q or p as the modulus,
+    and its q or p residues are charged to the glued m.
+
+    w = q*a + p*b takes the back-pointer of a or of b, whichever names the
+    later glued generator: w minus that generator is again such a sum, so
+    again an Apéry element.  This is the round robin's choice whenever w
+    has one such decomposition.
+
+    Two self-checks: the m sums hit every residue mod m once, and max Ap - m
+    equals q*F(S1) + p*F(S2) + pq, which compares the auxiliary table with
+    the other component's table.  Either failing raises
+    :class:`SelfCheckFailed` with (s1, s2, p, q) in its bundle.
+    """
+    bundle = {"s1": list(gens1), "s2": list(gens2), "p": p, "q": q}
+    if not q * gens1[0] < p * gens2[0]:
+        gens1, gens2, p, q = gens2, gens1, q, p
+    m = q * gens1[0]
+    _check_multiplicity(m)
+    ap1, last1 = _apery_table(gens1)
+    aux, aux_last = _round_robin((q,) + gens2)
+    position = {g: i for i, g in enumerate(glued)}
+    xs = [(q * a, position[q * gens1[i]] if i >= 0 else -1)
+          for a, i in zip(ap1, last1)]
+    ys = [(p * b, position[p * gens2[i - 1]] if i >= 0 else -1)
+          for b, i in zip(aux, aux_last)]
+    apery = [-1] * m
+    last = [-1] * m
+    for x, i in xs:
+        for y, j in ys:
+            w = x + y
+            r = w % m
+            apery[r] = w
+            last[r] = i if i > j else j
+    if -1 in apery:  # m sums and a residue left over: two shared one
+        raise SelfCheckFailed(
+            f"the gluing identity's Apéry set of {list(glued)} misses a "
+            f"residue mod {m}", bundle)
+    frob1 = max(ap1) - gens1[0]
+    frob2 = max(_apery_table(gens2)[0]) - gens2[0]
+    if max(apery) - m != q * frob1 + p * frob2 + p * q:
+        raise SelfCheckFailed(
+            f"the gluing identity's Apéry set of {list(glued)} has Frobenius "
+            f"number {max(apery) - m}, not q*F(S1) + p*F(S2) + pq = "
+            f"{q * frob1 + p * frob2 + p * q}", bundle)
+    return tuple(apery), tuple(last)
+
+
+def _check_multiplicity(m: int):
+    if m > MAX_MULTIPLICITY:
+        raise WorkBudgetExceeded(
+            f"Ap(S, {m}) needs a table of {m} residues; the budget is "
+            f"multiplicity <= {MAX_MULTIPLICITY}")
+
+
+def _round_robin(gens: tuple[int, ...]) -> AperyTable:
     """Ap(S, m) for m = gens[0], and per residue the last generator used.
 
     Round robin (Böcker & Lipták, *A fast and simple algorithm for the money
@@ -300,7 +409,8 @@ def _apery_table(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
     The residues split into gcd(g, m) cycles r -> r + g (mod m).  A walk
     once round a cycle from its smallest value, relaxing r -> r + g, settles
     the whole cycle: adding g to that value cannot improve it.  O(k*m) in
-    all, with no heap.
+    all, with no heap.  The further generators need not exceed m, so with
+    q first it also gives Ap(S2, q) for :func:`_glued_table`.
 
     ``last[r]`` is set on each improvement to the generator that made it.
     ``apery[r] - gens[last[r]]`` is then again an Apéry element, the one of
@@ -312,10 +422,7 @@ def _apery_table(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
     ``MAX_MULTIPLICITY``.
     """
     m = gens[0]
-    if m > MAX_MULTIPLICITY:
-        raise WorkBudgetExceeded(
-            f"Ap(S, {m}) needs a table of {m} residues; the budget is "
-            f"multiplicity <= {MAX_MULTIPLICITY}")
+    _check_multiplicity(m)
     apery = [0] + [inf] * (m - 1)
     last = [-1] * m
     for i in range(1, len(gens)):

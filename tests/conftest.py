@@ -2,8 +2,10 @@
 
 A stalled test then fails with a traceback at the line it was stuck on,
 and the rest of the suite still runs.  Each test starts with
-``gluing._component_analysis`` and ``semigroup.cached_semigroup`` empty, so
-a spy on the component computations sees them whatever ran before.
+``gluing._component_analysis``, ``semigroup.cached_semigroup`` and
+``semigroup._apery_table`` empty, so a spy on the component computations
+sees them whatever ran before, and a glued table that one test built from
+the gluing identity never stands in for the round robin in another.
 """
 
 import signal
@@ -42,3 +44,4 @@ def pytest_runtest_call(item):
 def cold_component_cache():
     gluing._component_analysis.cache_clear()
     semigroup.cached_semigroup.cache_clear()
+    semigroup._apery_table.cache_clear()

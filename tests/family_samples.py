@@ -7,12 +7,11 @@ exactly; generators retry until the constructed instance validates as nice.
 
 from math import gcd
 
-from curvegluing.gluing import (GluingSpec, component_curve, glued_ideal,
-                                validate_gluing)
+from curvegluing.gluing import GluingSpec, glued_ideal, validate_gluing
 from curvegluing.polyalg import negdegrevlex
 from curvegluing.semigroup import minimal_generators
 from curvegluing.tangentcone import tangent_cone
-from curvegluing.toric import curve_standard_basis
+from curvegluing.toric import MonomialCurve, curve_standard_basis
 
 
 def random_semigroup(rng, embdim, max_gen=15):
@@ -89,6 +88,14 @@ def paper_priority(nvars: int) -> tuple[int, ...]:
 def theorem_priority(l: int, k: int) -> tuple[int, ...]:
     """y2 > ... > yk > y1 > x2 > ... > xl > x1 in the joint ring."""
     return tuple(range(l + 1, l + k)) + (l,) + tuple(range(1, l)) + (0,)
+
+
+def component_curve(spec: GluingSpec, which: int) -> MonomialCurve:
+    """Component ``which`` (1 or 2) of the gluing, named x1.. or y1.."""
+    gens = spec.s1.generators if which == 1 else spec.s2.generators
+    letter = "x" if which == 1 else "y"
+    return MonomialCurve(gens, tuple(f"{letter}{i + 1}"
+                                     for i in range(len(gens))))
 
 
 def index_order_cones(spec: GluingSpec):

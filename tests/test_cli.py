@@ -4,8 +4,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from curvegluing.cli import main
+from curvegluing.cli import _json, main
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +211,20 @@ class TestGlueVerifyCommands:
         assert "[WorkBudget]" in err and "MAX_WITNESS_CELLS" in err
 
 
+    @pytest.mark.parametrize("command", ["glue", "verify"])
+    def test_glued_multiplicity_past_the_budget(self, capsys, command):
+        # m = p*n1 = 2000002 residues: refused, not reported as a bug
+        from curvegluing.semigroup import MAX_MULTIPLICITY
+
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--s1", "2,3", "--s2", "2,3",
+                                 "--p", "1000001", "--q", "1000003", "--json")
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == ""
+        assert "[WorkBudget]" in err and "SelfCheckFailed" not in err
+        assert f"Ap(S, 2000002) needs a table of 2000002 residues; the " \
+            f"budget is multiplicity <= {MAX_MULTIPLICITY}" in err
+
 @pytest.mark.parametrize("argv", [
     ["hilbert", "6", "7", "15", "--limit", "10000000", "--json"],
     ["verify", "--s1", "6,7,15", "--s2", "1", "--p", "13", "--q", "2",
@@ -273,6 +288,44 @@ class TestJsonContract:
         _, second, _ = run_cli(capsys, "verify", "--s1", "2,3", "--s2", "4,5",
                                "--p", "7", "--q", "8", "--json")
         assert first == second
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**80, 2**80)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """``cli._json`` writes what ``json.dumps(indent=2, sort_keys=True)``
+    writes."""
+
+    @staticmethod
+    def dumps(value):
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    @given(JSON_VALUES)
+    def test_generated_values(self, value):
+        assert _json(value) == self.dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        [True, 1, False, 0], None, 10**40, -(10**40),
+        [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 0.1],
+        {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": [{}]}},
+        ["\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\", ""],
+        {"\u00e9": 1, "\n": 2, "a": (1, (2, [3]))},
+    ])
+    def test_edge_values(self, value):
+        assert _json(value) == self.dumps(value)
+
+    @pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [{1, 2}],
+                                       {"a": b"x"}])
+    def test_non_str_key_or_unknown_type_raises(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
 
 
 class TestScanCommand:

@@ -14,7 +14,7 @@ from curvegluing.errors import (EmptyRange, GcdNotOne, GcdViolation,
                                 MalformedConfig, MalformedPolynomial,
                                 NotInSemigroup, PIsMinimalGenerator,
                                 QIsMinimalGenerator, SelfCheckFailed,
-                                TheoremViolation)
+                                TheoremViolation, WorkBudgetExceeded)
 from curvegluing.gluing import (FamilyTemplate, GluingSpec, glued_curve,
                                 glued_ideal,
                                 parse_linear, report_to_record, scan_family,
@@ -27,7 +27,8 @@ from curvegluing.toric import (as_polynomial, check_kernel_element,
                                defining_ideal, ideals_equal,
                                minimal_generator_count)
 
-from family_samples import joint_order_decomposition_ok, random_nice_gluing
+from family_samples import (joint_order_decomposition_ok, random_nice_gluing,
+                            random_semigroup)
 from record_gluing_digests import PATH as GLUING_DIGESTS
 
 
@@ -235,7 +236,8 @@ class TestCornerShapes:
             assert report.theorem2_confirmed
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def certified(spec, gens=None) -> bool:
@@ -244,12 +246,13 @@ def certified(spec, gens=None) -> bool:
     return certifies_defining_ideal(tangent_cone(C, ideal_gens=gens).lm_set, C)
 
 
-def shipped_config_specs(max_members):
-    """The first valid members of each shipped config (elimination is cheap)."""
+def config_specs(max_members):
+    """The first valid members of each config, keyed by its path under the
+    repository root (elimination is cheap)."""
     specs = []
-    for name in ("family_q.json", "family_r.json"):
-        tpl = FamilyTemplate.from_config(json.loads((CONFIGS / name).read_text()))
-        for v in range(tpl.start, tpl.start + max_members[name]):
+    for name, count in max_members.items():
+        tpl = FamilyTemplate.from_config(json.loads((ROOT / name).read_text()))
+        for v in range(tpl.start, tpl.start + count):
             try:
                 specs.append(validate_gluing(list(tpl.s1), list(tpl.s2),
                                              tpl.p_expr(v), tpl.q_expr(v)))
@@ -277,7 +280,8 @@ class TestHilbertCertificate:
     """The certificate against elimination, the independent oracle."""
 
     def test_agrees_with_elimination_on_shipped_configs(self):
-        specs = shipped_config_specs({"family_q.json": 5, "family_r.json": 10})
+        specs = config_specs({"configs/family_q.json": 5,
+                              "configs/family_r.json": 10})
         assert len(specs) == 15
         for spec in specs:
             C = glued_curve(spec)
@@ -379,7 +383,8 @@ class TestPresentationSize:
         return report.complete_intersection
 
     def test_every_member_of_the_shipped_configs(self):
-        specs = shipped_config_specs({"family_q.json": 29, "family_r.json": 25})
+        specs = config_specs({"configs/family_q.json": 29,
+                              "configs/family_r.json": 25})
         assert len(specs) == 50
         assert all(self._check(spec) for spec in specs)
 
@@ -556,7 +561,8 @@ class TestLeadingDecompositionFromTheIdentity:
 
     def test_config_members(self):
         # every member: q = 2..30 and r = 1..25
-        specs = shipped_config_specs({"family_q.json": 29, "family_r.json": 25})
+        specs = config_specs({"configs/family_q.json": 29,
+                              "configs/family_r.json": 25})
         assert len(specs) == 50
         assert self.assert_agrees(specs) == 50
 
@@ -578,10 +584,12 @@ def test_glued_hilbert_function_matches_the_order_filtration():
     specs = digest_specs()
     assert len(specs) == 153
     for spec in specs:
+        # built before verify_instance puts the identity's table in the
+        # cache, so the oracle reads a round-robin table
+        S = sg.NumericalSemigroup(tuple(sorted(spec.glued_generators)))
         prefix = verify_instance(spec, cross_check_ideal=False) \
             .glued_hilbert.hf_prefix
-        oracle = glued_curve(spec).semigroup.order_filtration_hilbert(
-            len(prefix) - 1)
+        oracle = S.order_filtration_hilbert(len(prefix) - 1)
         assert list(prefix) == oracle, spec
 
 
@@ -593,6 +601,145 @@ def test_glued_curve_rejects_a_non_minimal_glued_set():
                       a_witness=sg.Representation((1,), 1), nice=False)
     with pytest.raises(SelfCheckFailed, match="not a minimal generating set"):
         glued_curve(spec)
+
+
+def test_glued_curve_reports_a_non_minimal_set_as_a_self_check(monkeypatch):
+    import curvegluing.gluing as gl
+
+    def refuse(gens, names):
+        raise ValueError(f"{sorted(gens)} is not minimal")
+
+    monkeypatch.setattr(gl, "MonomialCurve", refuse)
+    with pytest.raises(SelfCheckFailed, match="not a minimal generating set"):
+        glued_curve(validate_gluing([2, 3], [4, 5], 7, 8))
+
+
+def one_decomposition(spec) -> bool:
+    """Does each glued Apéry element have one decomposition q*a + p*b?
+
+    With m = q*m1 a second one is q*(a - k*p) + p*(b + k*q), k >= 1, which
+    needs a - p in S1 for an a of Ap(S1, m1); with m = p*n1 swap the roles.
+    """
+    s1, s2, p, q = spec.s1, spec.s2, spec.p, spec.q
+    if not q * s1.generators[0] < p * s2.generators[0]:
+        s1, s2, p, q = s2, s1, q, p
+    return all(a < p or s1.contains(a - p) is None for a in s1.apery)
+
+
+class TestGluedAperyTable:
+    """The table of a glued tuple, built from the gluing identity, against
+    the round robin, which stays the reference."""
+
+    @staticmethod
+    def assert_matches_the_round_robin(spec):
+        glued = tuple(sorted(spec.glued_generators))
+        apery, last = sg.glued_apery_table(spec.s1.generators,
+                                           spec.s2.generators, spec.p, spec.q)
+        reference, reference_last = sg._round_robin(glued)
+        assert apery == reference, spec
+        m = glued[0]
+        assert last[0] == -1
+        for r in range(1, m):
+            # each back-pointer leads to another Apéry element
+            w = apery[r] - glued[last[r]]
+            assert w == apery[w % m], spec
+        if one_decomposition(spec):
+            assert last == reference_last, spec
+
+    def test_digest_gluings(self):
+        specs = digest_specs()
+        assert len(specs) == 153
+        for spec in specs:
+            self.assert_matches_the_round_robin(spec)
+        # the one digest gluing with two decompositions of an element
+        assert [s for s in specs if not one_decomposition(s)] == \
+            [validate_gluing([7, 10, 11], [7, 9, 13], 33, 14)]
+
+    def test_scan_config_members(self):
+        specs = config_specs({"configs/family_q.json": 29,
+                              "configs/family_r.json": 25,
+                              "bench/configs/family_q_80.json": 79,
+                              "bench/configs/family_r_150.json": 150})
+        assert len(specs) == 25 + 25 + 68 + 150
+        # so every back-pointer is the round robin's as well
+        assert all(one_decomposition(s) for s in specs)
+        for spec in specs:
+            self.assert_matches_the_round_robin(spec)
+
+    def test_multiplicity_p_n1(self):
+        # m = 8 = p*n1 < q*m1 = 10: Ap(S, 8) = 4*Ap(<2, 3>, 2) + 5*Ap(<2, 3>, 4)
+        spec = validate_gluing([2, 3], [2, 3], 4, 5)
+        assert sg.glued_apery_table((2, 3), (2, 3), 4, 5)[0] == \
+            (0, 25, 10, 27, 12, 37, 22, 15)
+        self.assert_matches_the_round_robin(spec)
+
+    def test_seeded_gluings_past_p_n1(self):
+        # no digest or pool gluing has p*n1 < q*m1; these are not nice
+        rng = random.Random(53)
+        found = 0
+        while found < 40:
+            s1 = random_semigroup(rng, rng.randint(2, 3), 12)
+            s2 = random_semigroup(rng, rng.randint(2, 3), 12)
+            p = rng.randint(s1.generators[0] + 1, 40)
+            q = rng.randint(2, 6 * s2.generators[0])
+            try:
+                spec = validate_gluing(s1, s2, p, q)
+            except GluingError:
+                continue
+            if p * s2.generators[0] < q * s1.generators[0]:
+                assert not spec.nice
+                found += 1
+                self.assert_matches_the_round_robin(spec)
+
+    def test_glued_curve_reads_the_identity(self):
+        spec = validate_gluing([2, 3], [4, 5], 7, 8)
+        built = sg.glued_apery_table((2, 3), (4, 5), 7, 8)
+        assert glued_curve(spec).semigroup.frobenius_and_apery()[1] is built[0]
+
+    def test_budget_is_the_glued_multiplicity(self, monkeypatch):
+        spec = validate_gluing([2, 3], [2, 3], 4, 5)
+        monkeypatch.setattr(sg, "MAX_MULTIPLICITY", 7)
+        with pytest.raises(WorkBudgetExceeded,
+                           match=r"Ap\(S, 8\) needs a table of 8 residues"):
+            glued_curve(spec)
+        monkeypatch.setattr(sg, "MAX_MULTIPLICITY", 8)
+        assert glued_curve(spec).semigroup.multiplicity == 8
+
+    @pytest.mark.parametrize("gens,table,match", [
+        # Ap(<4, 5>, 4) with its largest element raised by 4: F(S2) reads 15
+        ((4, 5), ((0, 5, 10, 19), (-1, 1, 1, 1)), "Frobenius number 141, not"),
+        # 8*2 = 16 = 8*0 mod 16: two sums share each residue
+        ((2, 3), ((0, 2), (-1, 1)), "misses a residue mod 16"),
+    ])
+    def test_self_checks(self, monkeypatch, gens, table, match):
+        spec = validate_gluing([2, 3], [4, 5], 7, 8)
+        sg._apery_table.cache_clear()  # rebuilt through the patched function
+        real = sg._round_robin
+        monkeypatch.setattr(
+            sg, "_round_robin", lambda g: table if g == gens else real(g))
+        with pytest.raises(SelfCheckFailed, match=match) as exc:
+            glued_curve(spec)
+        assert exc.value.bundle == {"s1": [2, 3], "s2": [4, 5], "p": 7,
+                                    "q": 8}
+
+    def test_family_scan_builds_no_glued_table_by_the_round_robin(
+            self, monkeypatch):
+        built = []
+        real = sg._round_robin
+
+        def spying(gens):
+            built.append(gens)
+            return real(gens)
+
+        monkeypatch.setattr(sg, "_round_robin", spying)
+        tpl = FamilyTemplate.from_config(
+            json.loads((CONFIGS / "family_q.json").read_text()))
+        glued = {tuple(sorted(r["glued_generators"]))
+                 for r in scan_family(tpl) if not r["skipped"]}
+        assert len(glued) == 25
+        assert glued.isdisjoint(built)
+        # the components' tables and each member's Ap(<1>, q)
+        assert {(6, 7, 15), (1,)} <= set(built)
 
 
 class TestLinearExpr:
