@@ -16,8 +16,10 @@ list of exponent pairs ``(lead, trail)`` (``toric.Binomial``).
 A family fixes both components and varies p and q, so each component's
 analysis (presentation, tangent cone, Hilbert data) is cached per process,
 as ``semigroup._apery_table`` caches the Apéry table.  The key is the
-component's generator tuple and the Hilbert-function prefix length; the
-block (x or y) it fills does not enter.  One ``verify`` CLI call gains
+component's generator tuple alone: the block (x or y) it fills does not
+enter, and a component's Hilbert prefix always has the default length, as
+no verdict or output reads it; only the glued curve's prefix follows
+``hf_prefix_len``.  One ``verify`` CLI call gains
 nothing; scans and library loops over many gluings do.  Of the component
 slots in one pass of each benchmark workload, 96 of 100 repeat an earlier
 one in ``scan_xcheck``, 432 of 436 in ``scan_plain`` and 272 of 400 in
@@ -34,13 +36,16 @@ from . import semigroup as sg
 from .errors import (EmptyRange, GcdViolation, GeneratorCollision, GluingError,
                      MalformedConfig, MalformedPolynomial, NotInSemigroup,
                      PIsMinimalGenerator, QIsMinimalGenerator, SelfCheckFailed,
-                     TheoremViolation)
-from .hilbert import (HilbertData, certifies_defining_ideal,
+                     TheoremViolation, WorkBudgetExceeded)
+from .hilbert import (HilbertData, certifies_defining_ideal, check_prefix_len,
                       local_hilbert_function, product_factorization_check)
 from .polyalg import is_variable_name, parse_polynomial
 from .tangentcone import TangentConeReport, tangent_cone
 from .toric import (Binomial, MonomialCurve, as_polynomial,
                     check_kernel_element, defining_ideal)
+
+# the most members one family scan may verify (4.5-10.2 kB of peak memory each)
+MAX_SCAN_MEMBERS = 10**4
 
 
 @dataclass(frozen=True)
@@ -164,9 +169,9 @@ def glued_ideal(spec: GluingSpec,
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     if g1 is None:
-        g1 = _component_analysis(spec.s1.generators, None)[0]
+        g1 = _component_analysis(spec.s1.generators)[0]
     if g2 is None:
-        g2 = _component_analysis(spec.s2.generators, None)[0]
+        g2 = _component_analysis(spec.s2.generators)[0]
     out = [_embed(g, before=0, after=k) for g in g1]
     out += [_embed(g, before=l, after=0) for g in g2]
     bridge_x = tuple(spec.b_witness.coefficients) + (0,) * k
@@ -180,7 +185,7 @@ def _block_curve(gens: tuple[int, ...]) -> MonomialCurve:
 
 
 @lru_cache(maxsize=1024)
-def _component_analysis(gens: tuple[int, ...], hf_prefix_len: int | None
+def _component_analysis(gens: tuple[int, ...]
                         ) -> tuple[tuple[Binomial, ...], TangentConeReport,
                                    HilbertData]:
     """Presentation, tangent cone and Hilbert data of a component curve.
@@ -188,15 +193,15 @@ def _component_analysis(gens: tuple[int, ...], hf_prefix_len: int | None
     No variable name enters any of the three, so the curve is named x1..
     whichever block it fills, and a tuple that is S1 in one gluing and S2
     in another is analysed once.  The cone is taken in the canonical order,
-    as the glued cone is, and the data has passed
-    :func:`_self_check_cm_multiplicity`.  Computed once per process for each
-    key; an exception is not cached, so a failing component raises on every
-    call.
+    as the glued cone is, and the data, with the default prefix length,
+    has passed :func:`_self_check_cm_multiplicity`.  Computed once per
+    process for each generator tuple; an exception is not cached, so a
+    failing component raises on every call.
     """
     C = _block_curve(gens)
     ideal = tuple(defining_ideal(C))
     rep = tangent_cone(C, ideal_gens=ideal)
-    hd = local_hilbert_function(C, hf_prefix_len, report=rep)
+    hd = local_hilbert_function(C, report=rep)
     _self_check_cm_multiplicity(rep, hd)
     return ideal, rep, hd
 
@@ -222,8 +227,6 @@ class VerificationReport:
     c2_hf_nondecreasing: bool
     glued_hf_nondecreasing: bool
     glued_hilbert: HilbertData
-    c1_hilbert: HilbertData
-    c2_hilbert: HilbertData
     theorem1_applicable: bool
     theorem1_confirmed: bool | None
     theorem2_applicable: bool
@@ -274,9 +277,21 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
 
     ``complete_intersection`` is the presentation size: minimal G1 and G2 and
     the bridge form a minimal presentation of the gluing (Rosales 1997).
+    ``gorenstein`` is the glued semigroup's symmetry, checked against
+    S1 and S2: S is symmetric iff both are.  For any n > 0 in S, Selmer's
+    formula gives 2*sum Ap(S, n) >= n*max Ap(S, n), with equality iff S is
+    symmetric (``NumericalSemigroup.is_symmetric``).  With m = q*m1 the
+    gluing identity Ap(S, m) = q*Ap(S1, m1) + p*Ap(S2, q) turns
+    2*sum Ap - m*max Ap into q^2*(2*sum Ap1 - m1*max Ap1) +
+    m1*p*(2*sum Ap(S2, q) - q*max Ap(S2, q)), two terms that are >= 0, so
+    it is 0 iff both are; m = p*n1 is the mirror case.
+
+    An ``hf_prefix_len`` over ``hilbert.MAX_HF_PREFIX`` is refused before
+    any standard basis is computed.
     """
-    g1, rep1, hd1 = _component_analysis(spec.s1.generators, hf_prefix_len)
-    g2, rep2, hd2 = _component_analysis(spec.s2.generators, hf_prefix_len)
+    check_prefix_len(hf_prefix_len)
+    g1, rep1, hd1 = _component_analysis(spec.s1.generators)
+    g2, rep2, hd2 = _component_analysis(spec.s2.generators)
 
     glued = glued_curve(spec)
     rosales = glued_ideal(spec, g1, g2)
@@ -308,6 +323,12 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
                 spec.a_witness.coefficients[0])
 
     gorenstein = glued.semigroup.is_symmetric()
+    if gorenstein != (spec.s1.is_symmetric() and spec.s2.is_symmetric()):
+        raise SelfCheckFailed(
+            f"symmetry of the glued semigroup ({gorenstein}) differs from "
+            f"that of S1 and S2 ({not gorenstein})",
+            {"s1": list(spec.s1.generators), "s2": list(spec.s2.generators),
+             "p": spec.p, "q": spec.q})
     ci = len(rosales) == glued.nvars - 1
 
     return VerificationReport(
@@ -320,8 +341,6 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
         c2_hf_nondecreasing=hd2.nondecreasing,
         glued_hf_nondecreasing=ghd.nondecreasing,
         glued_hilbert=ghd,
-        c1_hilbert=hd1,
-        c2_hilbert=hd2,
         theorem1_applicable=thm1_applicable,
         theorem1_confirmed=thm1_confirmed,
         theorem2_applicable=thm2_applicable,
@@ -473,8 +492,15 @@ def scan_family(template: FamilyTemplate, jobs: int = 1,
     """Verify every member of the family, in parameter order.
 
     Raises :class:`TheoremViolation` with a reproduction bundle if any
-    instance falsifies an applicable theorem.
+    instance falsifies an applicable theorem, and
+    :class:`WorkBudgetExceeded`, before any member is listed, when the range
+    holds more than ``MAX_SCAN_MEMBERS`` members.
     """
+    members = template.stop - template.start + 1
+    if members > MAX_SCAN_MEMBERS:
+        raise WorkBudgetExceeded(
+            f"range [{template.start}, {template.stop}] holds {members} "
+            f"members; the budget is MAX_SCAN_MEMBERS = {MAX_SCAN_MEMBERS}")
     values = list(range(template.start, template.stop + 1))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -170,7 +170,6 @@ def _var_power(var: int, power: int, nvars: int) -> Mono:
 class HilbertData:
     """Hilbert series data of the associated graded ring of a curve."""
 
-    numerator: tuple[int, ...]          # N(t) over (1-t)^k
     reduced_numerator: tuple[int, ...]  # h(t) with series h(t)/(1-t)
     hf_prefix: tuple[int, ...]          # H(0..N)
     multiplicity: int                   # h(1), the stable value of H
@@ -178,16 +177,20 @@ class HilbertData:
     first_violation: int | None         # index of the first negative h_i
 
 
-def hilbert_from_lms(lms: list[Mono], nvars: int,
-                     prefix_len: int | None = None) -> HilbertData:
-    """HilbertData of K[x]/<lms> assuming Krull dimension one; a
-    ``prefix_len`` over ``MAX_HF_PREFIX`` is refused before any work."""
+def check_prefix_len(prefix_len: int | None):
+    """Refuse a prefix over ``MAX_HF_PREFIX`` with :class:`WorkBudgetExceeded`."""
     if prefix_len is not None and prefix_len > MAX_HF_PREFIX:
         raise WorkBudgetExceeded(f"a Hilbert-function prefix of length "
                                  f"{prefix_len} is over MAX_HF_PREFIX = "
                                  f"{MAX_HF_PREFIX}")
-    num = hilbert_numerator(lms, nvars)
-    h = list(num)
+
+
+def hilbert_from_lms(lms: list[Mono], nvars: int,
+                     prefix_len: int | None = None) -> HilbertData:
+    """HilbertData of K[x]/<lms> assuming Krull dimension one; a
+    ``prefix_len`` over ``MAX_HF_PREFIX`` is refused before any work."""
+    check_prefix_len(prefix_len)
+    h = hilbert_numerator(lms, nvars)
     for _ in range(nvars - 1):
         h = divide_by_one_minus_t(h)
     mult = sum(h)
@@ -203,7 +206,6 @@ def hilbert_from_lms(lms: list[Mono], nvars: int,
         acc += h[n] if n < len(h) else 0
         prefix.append(acc)
     return HilbertData(
-        numerator=tuple(num),
         reduced_numerator=tuple(h),
         hf_prefix=tuple(prefix),
         multiplicity=mult,

@@ -2,13 +2,12 @@
 
 A semigroup is stored by its minimal generating set and read through its
 Apéry set Ap(S, m) with respect to the multiplicity m: n is a member exactly
-when n >= Ap[n mod m], the Frobenius number is max Ap - m, and symmetry is a
-property of Ap alone.  One cache, keyed by the sorted generator tuple,
-holds Ap(S, m) and the back-pointers that rebuild a representation.  Each
-back-pointer names a generator g with Ap[r] - g again an Apéry element, so
-following them from any Apéry element reaches 0.  A table is built one of
-two ways, and refused with :class:`WorkBudgetExceeded` before allocation
-when m exceeds ``MAX_MULTIPLICITY``:
+when n >= Ap[n mod m], the Frobenius number is max Ap - m, symmetry is a
+property of Ap alone, and a representation is rebuilt by stepping down
+through Ap (:meth:`NumericalSemigroup.contains`).  One cache, keyed by the
+sorted generator tuple, holds Ap(S, m) and nothing else.  A table is built
+one of two ways, and refused with :class:`WorkBudgetExceeded` before
+allocation when m exceeds ``MAX_MULTIPLICITY``:
 
 - a glued tuple, when ``gluing.glued_curve`` asks for it, from its
   components' tables by the gluing identity
@@ -92,18 +91,28 @@ class NumericalSemigroup:
         return len(self.generators)
 
     def contains(self, n: int) -> Representation | None:
-        """A representation of n if n is a member, else None."""
+        """A representation of n if n is a member, else None.
+
+        n = w + c0*m with w = Ap[n mod m].  From an Apéry element w != 0 the
+        walk steps to w - g_i for the first i >= 1 with
+        Ap[(w - g_i) mod m] = w - g_i, and such an i always exists: write
+        w = sum c_i*g_i.  Then c_0 = 0, as w - m is not a member, so some
+        c_i > 0 with i >= 1, and for it w - g_i is a member while
+        w - g_i - m is not, so w - g_i is the Apéry element of its residue.
+        Each step lowers w, so the walk reaches 0.
+        """
         if n < 0:
             raise ValueError("membership is defined for n >= 0")
         gens, m = self.generators, self.multiplicity
-        apery, last = _apery_table(gens)
+        apery = _apery_table(gens)
         w = apery[n % m]
         if n < w:
             return None
         coeffs = [0] * len(gens)
         coeffs[0] = (n - w) // m
         while w:
-            i = last[w % m]
+            i = next(i for i in range(1, len(gens))
+                     if apery[(w - gens[i]) % m] == w - gens[i])
             coeffs[i] += 1
             w -= gens[i]
         return Representation(tuple(coeffs), n)
@@ -170,7 +179,7 @@ class NumericalSemigroup:
 
     def frobenius_and_apery(self) -> tuple[int, tuple[int, ...]]:
         """Frobenius number and the Apéry set w.r.t. the smallest generator."""
-        apery, _ = _apery_table(self.generators)
+        apery = _apery_table(self.generators)
         return max(apery) - self.multiplicity, apery
 
     @property
@@ -182,14 +191,16 @@ class NumericalSemigroup:
         return self.frobenius_and_apery()[1]
 
     def is_symmetric(self) -> bool:
-        """Kunz symmetry, read off the Apéry set.
+        """Symmetry, read off the Apéry set: 2 * sum Ap == m * max Ap.
 
-        S is symmetric exactly when Ap(S, m) is closed under w -> max Ap - w
-        (Rosales & García-Sánchez, *Numerical Semigroups*, 2009, ch. 4).
+        By Selmer's formula the genus is g = sum Ap / m - (m - 1) / 2, and
+        F = max Ap - m.  Always g >= (F + 1) / 2, with equality exactly when
+        S is symmetric (Rosales & García-Sánchez, *Numerical Semigroups*,
+        2009, ch. 2 and 4).  Substituting both, equality reads
+        2 * sum Ap = m * max Ap.
         """
         apery = self.apery
-        top = max(apery)
-        return {top - w for w in apery} == set(apery)
+        return 2 * sum(apery) == self.multiplicity * max(apery)
 
     def order_filtration_hilbert(self, n_max: int) -> list[int]:
         """H(0..n_max) where H(n) counts members of maximal order exactly n.
@@ -204,7 +215,7 @@ class NumericalSemigroup:
         gens = self.generators
         frob = self.frobenius
         bound = max(frob, 0) + (n_max + 1) * gens[-1]
-        apery, _ = _apery_table(gens)
+        apery = _apery_table(gens)
         m = gens[0]
         member = [s >= apery[s % m] for s in range(bound + 1)]
         order = [-1] * (bound + 1)
@@ -251,7 +262,7 @@ def _minimalize(gens: tuple[int, ...]) -> tuple[int, ...]:
     ``gens`` is strictly increasing with gcd 1, so it has an Apéry table.
     """
     m = gens[0]
-    apery, _ = _apery_table(gens)
+    apery = _apery_table(gens)
     return tuple(g for g in gens
                  if not any(g - h >= apery[(g - h) % m] for h in gens if h < g))
 
@@ -296,22 +307,19 @@ def cached_semigroup(raw: tuple[int, ...]) -> NumericalSemigroup:
     return minimal_generators(raw)
 
 
-AperyTable = tuple[tuple[int, ...], tuple[int, ...]]
-
 # the builder a miss of ``_apery_table`` on its tuple calls instead of the
 # round robin; an entry lives only for one ``glued_apery_table`` call
 _builders: dict = {}
 
 
 @lru_cache(maxsize=1024)
-def _apery_table(gens: tuple[int, ...]) -> AperyTable:
-    """Ap(S, m) for m = gens[0], and per residue the last generator used.
+def _apery_table(gens: tuple[int, ...]) -> tuple[int, ...]:
+    """Ap(S, m) for m = gens[0], indexed by residue mod m.
 
     The one cache of Apéry tables, keyed by the sorted generator tuple.  A
     glued tuple that :func:`glued_apery_table` asks for is built by
     :func:`_glued_table` from the gluing identity; every other tuple by
-    :func:`_round_robin`.  Both satisfy the back-pointer invariant
-    ``contains`` relies on, and both are refused with
+    :func:`_round_robin`.  Both are refused with
     :class:`WorkBudgetExceeded`, before allocating, when m exceeds
     ``MAX_MULTIPLICITY``.
     """
@@ -319,7 +327,7 @@ def _apery_table(gens: tuple[int, ...]) -> AperyTable:
 
 
 def glued_apery_table(gens1: tuple[int, ...], gens2: tuple[int, ...],
-                      p: int, q: int) -> AperyTable:
+                      p: int, q: int) -> tuple[int, ...]:
     """``_apery_table`` of the glued tuple of S = q*S1 + p*S2.
 
     On a miss the table is built from the components' tables by
@@ -337,7 +345,7 @@ def glued_apery_table(gens1: tuple[int, ...], gens2: tuple[int, ...],
 
 
 def _glued_table(gens1: tuple[int, ...], gens2: tuple[int, ...], p: int,
-                 q: int, glued: tuple[int, ...]) -> AperyTable:
+                 q: int, glued: tuple[int, ...]) -> tuple[int, ...]:
     """Ap(S, m) of the gluing S = q*S1 + p*S2 on the sorted tuple ``glued``.
 
     Let m1, n1 be the multiplicities of S1, S2.  If q*m1 < p*n1, then
@@ -347,11 +355,6 @@ def _glued_table(gens1: tuple[int, ...], gens2: tuple[int, ...], p: int,
     first table is the component's cached one; the auxiliary Ap(S2, q) or
     Ap(S1, p) comes from :func:`_round_robin` with q or p as the modulus,
     and its q or p residues are charged to the glued m.
-
-    w = q*a + p*b takes the back-pointer of a or of b, whichever names the
-    later glued generator: w minus that generator is again such a sum, so
-    again an Apéry element.  This is the round robin's choice whenever w
-    has one such decomposition.
 
     Two self-checks: the m sums hit every residue mod m once, and max Ap - m
     equals q*F(S1) + p*F(S2) + pq, which compares the auxiliary table with
@@ -363,33 +366,26 @@ def _glued_table(gens1: tuple[int, ...], gens2: tuple[int, ...], p: int,
         gens1, gens2, p, q = gens2, gens1, q, p
     m = q * gens1[0]
     _check_multiplicity(m)
-    ap1, last1 = _apery_table(gens1)
-    aux, aux_last = _round_robin((q,) + gens2)
-    position = {g: i for i, g in enumerate(glued)}
-    xs = [(q * a, position[q * gens1[i]] if i >= 0 else -1)
-          for a, i in zip(ap1, last1)]
-    ys = [(p * b, position[p * gens2[i - 1]] if i >= 0 else -1)
-          for b, i in zip(aux, aux_last)]
+    ap1 = _apery_table(gens1)
+    ys = [p * b for b in _round_robin((q,) + gens2)]
     apery = [-1] * m
-    last = [-1] * m
-    for x, i in xs:
-        for y, j in ys:
+    for a in ap1:
+        x = q * a
+        for y in ys:
             w = x + y
-            r = w % m
-            apery[r] = w
-            last[r] = i if i > j else j
+            apery[w % m] = w
     if -1 in apery:  # m sums and a residue left over: two shared one
         raise SelfCheckFailed(
             f"the gluing identity's Apéry set of {list(glued)} misses a "
             f"residue mod {m}", bundle)
     frob1 = max(ap1) - gens1[0]
-    frob2 = max(_apery_table(gens2)[0]) - gens2[0]
+    frob2 = max(_apery_table(gens2)) - gens2[0]
     if max(apery) - m != q * frob1 + p * frob2 + p * q:
         raise SelfCheckFailed(
             f"the gluing identity's Apéry set of {list(glued)} has Frobenius "
             f"number {max(apery) - m}, not q*F(S1) + p*F(S2) + pq = "
             f"{q * frob1 + p * frob2 + p * q}", bundle)
-    return tuple(apery), tuple(last)
+    return tuple(apery)
 
 
 def _check_multiplicity(m: int):
@@ -399,8 +395,8 @@ def _check_multiplicity(m: int):
             f"multiplicity <= {MAX_MULTIPLICITY}")
 
 
-def _round_robin(gens: tuple[int, ...]) -> AperyTable:
-    """Ap(S, m) for m = gens[0], and per residue the last generator used.
+def _round_robin(gens: tuple[int, ...]) -> tuple[int, ...]:
+    """Ap(S, m) for m = gens[0], indexed by residue mod m.
 
     Round robin (Böcker & Lipták, *A fast and simple algorithm for the money
     changing problem*, Algorithmica 48, 2007): ``apery[r]`` starts as the
@@ -412,21 +408,13 @@ def _round_robin(gens: tuple[int, ...]) -> AperyTable:
     all, with no heap.  The further generators need not exceed m, so with
     q first it also gives Ap(S2, q) for :func:`_glued_table`.
 
-    ``last[r]`` is set on each improvement to the generator that made it.
-    ``apery[r] - gens[last[r]]`` is then again an Apéry element, the one of
-    its residue: it is a member of that residue, and a smaller one would
-    give a member below ``apery[r]`` congruent to r.  ``contains`` walks
-    these back-pointers down to 0.
-
     Raises :class:`WorkBudgetExceeded`, before allocating, when m exceeds
     ``MAX_MULTIPLICITY``.
     """
     m = gens[0]
     _check_multiplicity(m)
     apery = [0] + [inf] * (m - 1)
-    last = [-1] * m
-    for i in range(1, len(gens)):
-        g = gens[i]
+    for g in gens[1:]:
         d = gcd(g, m)
         for start in range(d):
             # the cycle through start holds the residues congruent to it mod d
@@ -439,7 +427,6 @@ def _round_robin(gens: tuple[int, ...]) -> AperyTable:
                 r = w % m
                 if w < apery[r]:
                     apery[r] = w
-                    last[r] = i
                 else:
                     w = apery[r]
-    return tuple(apery), tuple(last)
+    return tuple(apery)

@@ -1,5 +1,6 @@
-"""Randomized gluing instances for the property suites, and the joint-order
-completion that is the tests' reference for the leading-ideal decomposition.
+"""Randomized gluing instances for the property suites, the joint-order
+completion that is the tests' reference for the leading-ideal decomposition,
+and Kunz's closure, the reference for symmetry.
 
 Everything is driven by a seeded ``random.Random`` so failures replay
 exactly; generators retry until the constructed instance validates as nice.
@@ -46,6 +47,12 @@ def random_semigroup(rng, embdim, max_gen=15):
         S = minimal_generators(gens)
         if len(S.generators) == embdim:
             return S
+
+
+def kunz_closure(S) -> bool:
+    """Kunz: S is symmetric iff Ap(S, m) is closed under w -> max Ap - w."""
+    top = max(S.apery)
+    return {top - w for w in S.apery} == set(S.apery)
 
 
 def random_nice_gluing(rng, dim1=2, dim2=2, max_gen=15) -> GluingSpec:

@@ -231,8 +231,33 @@ class TestGlueVerifyCommands:
      "--limit", "100000000000", "--json"],
 ])
 def test_limit_past_the_budget(argv):
-    # a separate interpreter, capped at 1 GiB of address space: without the
-    # budget the first call builds a 10^7-entry prefix and the second never ends
+    # without the budget the first call builds a 10^7-entry prefix and the
+    # second never ends
+    proc = _run_capped(argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "[WorkBudget]" in proc.stderr and "MAX_HF_PREFIX" in proc.stderr
+
+
+@pytest.mark.parametrize("with_output", [False, True])
+def test_scan_range_past_the_budget(tmp_path, with_output):
+    # without the budget the scan lists 10^9 members before verifying one
+    cfg = {"s1": [6, 7, 15], "s2": [1], "parameter": "q", "p": "6*q + 7",
+           "q": "q", "range": [2, 1000000000]}
+    output = tmp_path / "records.jsonl"
+    if with_output:
+        cfg["output"] = str(output)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    proc = _run_capped(["scan", "--config", str(path), "--json"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "[WorkBudget]" in proc.stderr and \
+        "MAX_SCAN_MEMBERS = 10000" in proc.stderr
+    assert not output.exists()
+
+
+def _run_capped(argv):
+    """Run the CLI in a separate interpreter capped at 1 GiB of address
+    space, within 5 s."""
     import resource
     from pathlib import Path
 
@@ -240,11 +265,9 @@ def test_limit_past_the_budget(argv):
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-m", "curvegluing", *argv],
+    return subprocess.run([sys.executable, "-m", "curvegluing", *argv],
                           capture_output=True, text=True, cwd=root,
                           timeout=5, preexec_fn=cap)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "[WorkBudget]" in proc.stderr and "MAX_HF_PREFIX" in proc.stderr
 
 
 VERIFY_PATH_LINES = [

@@ -27,8 +27,8 @@ from curvegluing.toric import (as_polynomial, check_kernel_element,
                                defining_ideal, ideals_equal,
                                minimal_generator_count)
 
-from family_samples import (joint_order_decomposition_ok, random_nice_gluing,
-                            random_semigroup)
+from family_samples import (joint_order_decomposition_ok, kunz_closure,
+                            random_nice_gluing, random_semigroup)
 from record_gluing_digests import PATH as GLUING_DIGESTS
 
 
@@ -259,6 +259,13 @@ def config_specs(max_members):
             except GluingError:
                 pass
     return specs
+
+
+# every member of the four scan configs
+SCAN_CONFIG_MEMBERS = {"configs/family_q.json": 29,
+                       "configs/family_r.json": 25,
+                       "bench/configs/family_q_80.json": 79,
+                       "bench/configs/family_r_150.json": 150}
 
 
 def small_nice_gluings(seed, dims, count):
@@ -593,6 +600,32 @@ def test_glued_hilbert_function_matches_the_order_filtration():
         assert list(prefix) == oracle, spec
 
 
+class TestGorensteinFromTheComponents:
+    """``gorenstein`` against the components' symmetry and Kunz's closure."""
+
+    def test_digest_gluings(self):
+        both = set()
+        for spec in digest_specs():
+            S = glued_curve(spec).semigroup
+            assert S.is_symmetric() == kunz_closure(S), spec
+            assert S.is_symmetric() == (spec.s1.is_symmetric()
+                                        and spec.s2.is_symmetric()), spec
+            both.add(S.is_symmetric())
+        assert both == {True, False}
+
+    def test_a_mismatch_is_a_self_check(self, monkeypatch):
+        spec = validate_gluing([2, 3], [4, 5], 7, 8)
+        assert verify_instance(spec).gorenstein
+        real = sg.NumericalSemigroup.is_symmetric
+        monkeypatch.setattr(sg.NumericalSemigroup, "is_symmetric",
+                            lambda S: S.generators != (4, 5) and real(S))
+        with pytest.raises(SelfCheckFailed, match="symmetry of the glued") \
+                as exc:
+            verify_instance(spec)
+        assert exc.value.bundle == {"s1": [2, 3], "s2": [4, 5], "p": 7,
+                                    "q": 8}
+
+
 def test_glued_curve_rejects_a_non_minimal_glued_set():
     # q * (2, 3) + p * (1,) = (2, 3, 5), and 5 = 2 + 3 is not minimal
     s1, s2 = sg.NumericalSemigroup((2, 3)), sg.NumericalSemigroup((1,))
@@ -614,18 +647,6 @@ def test_glued_curve_reports_a_non_minimal_set_as_a_self_check(monkeypatch):
         glued_curve(validate_gluing([2, 3], [4, 5], 7, 8))
 
 
-def one_decomposition(spec) -> bool:
-    """Does each glued Apéry element have one decomposition q*a + p*b?
-
-    With m = q*m1 a second one is q*(a - k*p) + p*(b + k*q), k >= 1, which
-    needs a - p in S1 for an a of Ap(S1, m1); with m = p*n1 swap the roles.
-    """
-    s1, s2, p, q = spec.s1, spec.s2, spec.p, spec.q
-    if not q * s1.generators[0] < p * s2.generators[0]:
-        s1, s2, p, q = s2, s1, q, p
-    return all(a < p or s1.contains(a - p) is None for a in s1.apery)
-
-
 class TestGluedAperyTable:
     """The table of a glued tuple, built from the gluing identity, against
     the round robin, which stays the reference."""
@@ -633,43 +654,51 @@ class TestGluedAperyTable:
     @staticmethod
     def assert_matches_the_round_robin(spec):
         glued = tuple(sorted(spec.glued_generators))
-        apery, last = sg.glued_apery_table(spec.s1.generators,
-                                           spec.s2.generators, spec.p, spec.q)
-        reference, reference_last = sg._round_robin(glued)
-        assert apery == reference, spec
-        m = glued[0]
-        assert last[0] == -1
-        for r in range(1, m):
-            # each back-pointer leads to another Apéry element
-            w = apery[r] - glued[last[r]]
-            assert w == apery[w % m], spec
-        if one_decomposition(spec):
-            assert last == reference_last, spec
+        apery = sg.glued_apery_table(spec.s1.generators, spec.s2.generators,
+                                     spec.p, spec.q)
+        assert apery == sg._round_robin(glued), spec
 
     def test_digest_gluings(self):
         specs = digest_specs()
         assert len(specs) == 153
         for spec in specs:
             self.assert_matches_the_round_robin(spec)
-        # the one digest gluing with two decompositions of an element
-        assert [s for s in specs if not one_decomposition(s)] == \
-            [validate_gluing([7, 10, 11], [7, 9, 13], 33, 14)]
 
     def test_scan_config_members(self):
-        specs = config_specs({"configs/family_q.json": 29,
-                              "configs/family_r.json": 25,
-                              "bench/configs/family_q_80.json": 79,
-                              "bench/configs/family_r_150.json": 150})
+        specs = config_specs(SCAN_CONFIG_MEMBERS)
         assert len(specs) == 25 + 25 + 68 + 150
-        # so every back-pointer is the round robin's as well
-        assert all(one_decomposition(s) for s in specs)
         for spec in specs:
             self.assert_matches_the_round_robin(spec)
+
+    @staticmethod
+    def assert_representations_sum(spec, rng):
+        # the glued semigroup's ``contains`` walks the identity's table
+        S = glued_curve(spec).semigroup
+        gens, apery = S.generators, S.apery
+        for n in list(apery) + [rng.randint(0, 3 * max(apery))
+                                for _ in range(20)]:
+            rep = S.contains(n)
+            if n < apery[n % S.multiplicity]:
+                assert rep is None, (spec, n)
+                continue
+            assert rep.value == n
+            assert sum(c * g for c, g in zip(rep.coefficients, gens)) == n, \
+                (spec, n)
+
+    def test_representations_on_digest_gluings(self):
+        rng = random.Random(59)
+        for spec in digest_specs():
+            self.assert_representations_sum(spec, rng)
+
+    def test_representations_on_scan_config_members(self):
+        rng = random.Random(61)
+        for spec in config_specs(SCAN_CONFIG_MEMBERS):
+            self.assert_representations_sum(spec, rng)
 
     def test_multiplicity_p_n1(self):
         # m = 8 = p*n1 < q*m1 = 10: Ap(S, 8) = 4*Ap(<2, 3>, 2) + 5*Ap(<2, 3>, 4)
         spec = validate_gluing([2, 3], [2, 3], 4, 5)
-        assert sg.glued_apery_table((2, 3), (2, 3), 4, 5)[0] == \
+        assert sg.glued_apery_table((2, 3), (2, 3), 4, 5) == \
             (0, 25, 10, 27, 12, 37, 22, 15)
         self.assert_matches_the_round_robin(spec)
 
@@ -694,7 +723,7 @@ class TestGluedAperyTable:
     def test_glued_curve_reads_the_identity(self):
         spec = validate_gluing([2, 3], [4, 5], 7, 8)
         built = sg.glued_apery_table((2, 3), (4, 5), 7, 8)
-        assert glued_curve(spec).semigroup.frobenius_and_apery()[1] is built[0]
+        assert glued_curve(spec).semigroup.frobenius_and_apery()[1] is built
 
     def test_budget_is_the_glued_multiplicity(self, monkeypatch):
         spec = validate_gluing([2, 3], [2, 3], 4, 5)
@@ -707,9 +736,9 @@ class TestGluedAperyTable:
 
     @pytest.mark.parametrize("gens,table,match", [
         # Ap(<4, 5>, 4) with its largest element raised by 4: F(S2) reads 15
-        ((4, 5), ((0, 5, 10, 19), (-1, 1, 1, 1)), "Frobenius number 141, not"),
+        ((4, 5), (0, 5, 10, 19), "Frobenius number 141, not"),
         # 8*2 = 16 = 8*0 mod 16: two sums share each residue
-        ((2, 3), ((0, 2), (-1, 1)), "misses a residue mod 16"),
+        ((2, 3), (0, 2), "misses a residue mod 16"),
     ])
     def test_self_checks(self, monkeypatch, gens, table, match):
         spec = validate_gluing([2, 3], [4, 5], 7, 8)
@@ -815,9 +844,9 @@ class TestFamilyConfig:
 
 
 class TestScan:
-    TPL32 = FamilyTemplate.from_config({
-        "s1": [6, 7, 15], "s2": [1], "parameter": "q",
-        "p": "6*q + 7", "q": "q", "range": [2, 12]})
+    TPL32_CONFIG = {"s1": [6, 7, 15], "s2": [1], "parameter": "q",
+                    "p": "6*q + 7", "q": "q", "range": [2, 12]}
+    TPL32 = FamilyTemplate.from_config(TPL32_CONFIG)
 
     def test_skips_invalid_parameters(self):
         records = scan_family(self.TPL32)
@@ -890,6 +919,25 @@ class TestScan:
         with pytest.raises(SelfCheckFailed) as exc:
             scan_family(self.TPL32, jobs=2)
         assert exc.value.bundle == {"q": 5, "p": 37}
+
+    @pytest.mark.parametrize("budget,refused", [(10, False), (9, True)])
+    def test_member_budget_is_inclusive(self, monkeypatch, budget, refused):
+        import curvegluing.gluing as gl
+
+        tpl = FamilyTemplate.from_config({**self.TPL32_CONFIG,
+                                          "range": [2, 11]})
+        monkeypatch.setattr(gl, "MAX_SCAN_MEMBERS", budget)
+        if refused:
+            listed = []
+            monkeypatch.setattr(gl, "scan_instance",
+                                lambda *args: listed.append(args))
+            with pytest.raises(WorkBudgetExceeded,
+                               match="holds 10 members; the budget is "
+                                     "MAX_SCAN_MEMBERS = 9"):
+                scan_family(tpl)
+            assert listed == []
+        else:
+            assert len(scan_family(tpl)) == 10
 
     def test_record_round_trips_through_json(self):
         spec = validate_gluing([2, 3], [4, 5], 7, 8)
@@ -983,6 +1031,34 @@ class TestComponentCache:
                 verify_instance(spec)
         # the first component's cone fails, and is tried again, both times
         assert cones == [(2, 3), (2, 3)]
+
+    def test_prefix_length_does_not_key_the_analysis(self, monkeypatch):
+        import curvegluing.gluing as gl
+        import curvegluing.tangentcone as tc
+        import curvegluing.toric as toric
+
+        eliminated = self.spy(monkeypatch, "defining_ideal", (gl, tc, toric))
+        spec = validate_gluing([5, 12], [7, 8], 17, 21)
+        short = verify_instance(spec, hf_prefix_len=4)
+        long = verify_instance(spec, hf_prefix_len=30)
+        assert eliminated == [(5, 12), (7, 8)]
+        assert gl._component_analysis.cache_info().currsize == 2
+        # only the glued prefix follows the requested length
+        assert len(short.glued_hilbert.hf_prefix) == 5
+        assert len(long.glued_hilbert.hf_prefix) == 31
+
+    def test_prefix_past_the_budget_before_any_analysis(self, monkeypatch):
+        import curvegluing.gluing as gl
+        import curvegluing.hilbert as hilbert
+        import curvegluing.tangentcone as tc
+        import curvegluing.toric as toric
+
+        eliminated = self.spy(monkeypatch, "defining_ideal", (gl, tc, toric))
+        cones = self.spy(monkeypatch, "tangent_cone", (gl, tc))
+        spec = validate_gluing([5, 12], [7, 8], 17, 21)
+        with pytest.raises(WorkBudgetExceeded, match="MAX_HF_PREFIX"):
+            verify_instance(spec, hf_prefix_len=hilbert.MAX_HF_PREFIX + 1)
+        assert eliminated == [] and cones == []
 
     def test_component_in_either_block_analysed_once(self, monkeypatch):
         import curvegluing.gluing as gl

@@ -416,9 +416,9 @@ class TestFactorization:
         assert product_factorization_check(glued, [1, 1], [1, 1, 1, 1], 2)
 
     def test_unit_third_factor(self):
-        data = HilbertData(numerator=(1,), reduced_numerator=(1, 2),
-                           hf_prefix=(1, 3, 3), multiplicity=3,
-                           nondecreasing=True, first_violation=None)
+        data = HilbertData(reduced_numerator=(1, 2), hf_prefix=(1, 3, 3),
+                           multiplicity=3, nondecreasing=True,
+                           first_violation=None)
         assert product_factorization_check(data, [1, 2], [1], 1)
 
     def test_regular_second_component(self):
@@ -429,7 +429,7 @@ class TestFactorization:
         assert product_factorization_check(glued, h1, [1], 2)
 
     def test_mismatch_detected(self):
-        data = HilbertData(numerator=(1,), reduced_numerator=(1, 1),
-                           hf_prefix=(1, 2, 2), multiplicity=2,
-                           nondecreasing=True, first_violation=None)
+        data = HilbertData(reduced_numerator=(1, 1), hf_prefix=(1, 2, 2),
+                           multiplicity=2, nondecreasing=True,
+                           first_violation=None)
         assert not product_factorization_check(data, [1, 1], [1, 1], 2)
