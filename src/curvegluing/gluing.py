@@ -15,15 +15,15 @@ list of exponent pairs ``(lead, trail)`` (``toric.Binomial``).
 
 A family fixes both components and varies p and q, so each component's
 analysis (presentation, tangent cone, Hilbert data) is cached per process,
-as ``semigroup._apery_table`` caches the Apéry table.  The key is the
-component's generator tuple alone: the block (x or y) it fills does not
-enter, and a component's Hilbert prefix always has the default length, as
-no verdict or output reads it; only the glued curve's prefix follows
-``hf_prefix_len``.  One ``verify`` CLI call gains
-nothing; scans and library loops over many gluings do.  Of the component
-slots in one pass of each benchmark workload, 96 of 100 repeat an earlier
-one in ``scan_xcheck``, 432 of 436 in ``scan_plain`` and 272 of 400 in
-``nice_sweep``.
+as ``semigroup.cached_semigroup`` caches the semigroup and its Apéry set.
+The key is the component's semigroup, which hashes and compares as its
+generator tuple alone: the block (x or y) it fills does not enter, and a
+component's Hilbert prefix always has the default length, as no verdict or
+output reads it; only the glued curve's prefix follows ``hf_prefix_len``.
+One ``verify`` CLI call gains nothing; scans and library loops over many
+gluings do.  Of the component slots in one pass of each benchmark
+workload, 96 of 100 repeat an earlier one in ``scan_xcheck``, 432 of 436
+in ``scan_plain`` and 272 of 400 in ``nice_sweep``.
 """
 
 from __future__ import annotations
@@ -133,22 +133,22 @@ def _as_semigroup(s) -> sg.NumericalSemigroup:
 def glued_curve(spec: GluingSpec) -> MonomialCurve:
     """Monomial curve on the scaled generators, x-block then y-block.
 
-    Its Apéry table is put in ``semigroup._apery_table``'s cache first,
-    built from the component tables by the gluing identity
-    (:func:`semigroup.glued_apery_table`); the ``MonomialCurve`` validates
-    the glued generators on it, and the Gorenstein verdict and the
-    defining-ideal certificate read it.  A glued multiplicity above
-    ``semigroup.MAX_MULTIPLICITY`` raises ``WorkBudgetExceeded`` there.
+    Its semigroup carries the Apéry table that the gluing identity builds
+    from the components' tables (:func:`semigroup.glued_apery`); the
+    glued generators are checked minimal on it, and the Gorenstein verdict
+    and the defining-ideal certificate read it.  A glued multiplicity above
+    ``semigroup.MAX_MULTIPLICITY`` raises ``WorkBudgetExceeded`` before
+    the table is built, and a non-minimal glued set ``SelfCheckFailed``.
     """
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     names = tuple(f"x{i + 1}" for i in range(l)) + \
         tuple(f"y{j + 1}" for j in range(k))
     gens = spec.glued_generators
-    sg.glued_apery_table(spec.s1.generators, spec.s2.generators,
-                         spec.p, spec.q)
+    glued = tuple(sorted(gens))
+    apery = sg.glued_apery(spec.s1, spec.s2, spec.p, spec.q, glued)
     try:
-        return MonomialCurve(gens, names)
+        return MonomialCurve(gens, names, sg.NumericalSemigroup(glued, apery))
     except ValueError:
         raise SelfCheckFailed(
             f"glued generators {list(gens)} are not a minimal generating set"
@@ -169,9 +169,9 @@ def glued_ideal(spec: GluingSpec,
     l = len(spec.s1.generators)
     k = len(spec.s2.generators)
     if g1 is None:
-        g1 = _component_analysis(spec.s1.generators)[0]
+        g1 = _component_analysis(spec.s1)[0]
     if g2 is None:
-        g2 = _component_analysis(spec.s2.generators)[0]
+        g2 = _component_analysis(spec.s2)[0]
     out = [_embed(g, before=0, after=k) for g in g1]
     out += [_embed(g, before=l, after=0) for g in g2]
     bridge_x = tuple(spec.b_witness.coefficients) + (0,) * k
@@ -180,12 +180,8 @@ def glued_ideal(spec: GluingSpec,
     return out
 
 
-def _block_curve(gens: tuple[int, ...]) -> MonomialCurve:
-    return MonomialCurve(gens, tuple(f"x{i + 1}" for i in range(len(gens))))
-
-
 @lru_cache(maxsize=1024)
-def _component_analysis(gens: tuple[int, ...]
+def _component_analysis(S: sg.NumericalSemigroup
                         ) -> tuple[tuple[Binomial, ...], TangentConeReport,
                                    HilbertData]:
     """Presentation, tangent cone and Hilbert data of a component curve.
@@ -195,10 +191,12 @@ def _component_analysis(gens: tuple[int, ...]
     in another is analysed once.  The cone is taken in the canonical order,
     as the glued cone is, and the data, with the default prefix length,
     has passed :func:`_self_check_cm_multiplicity`.  Computed once per
-    process for each generator tuple; an exception is not cached, so a
-    failing component raises on every call.
+    process for each semigroup, that is each generator tuple; an exception
+    is not cached, so a failing component raises on every call.  The curve
+    stands on ``S``, which is not validated again.
     """
-    C = _block_curve(gens)
+    C = MonomialCurve(S.generators,
+                      tuple(f"x{i + 1}" for i in range(len(S.generators))), S)
     ideal = tuple(defining_ideal(C))
     rep = tangent_cone(C, ideal_gens=ideal)
     hd = local_hilbert_function(C, report=rep)
@@ -290,8 +288,8 @@ def verify_instance(spec: GluingSpec, cross_check_ideal: bool = True,
     any standard basis is computed.
     """
     check_prefix_len(hf_prefix_len)
-    g1, rep1, hd1 = _component_analysis(spec.s1.generators)
-    g2, rep2, hd2 = _component_analysis(spec.s2.generators)
+    g1, rep1, hd1 = _component_analysis(spec.s1)
+    g2, rep2, hd2 = _component_analysis(spec.s2)
 
     glued = glued_curve(spec)
     rosales = glued_ideal(spec, g1, g2)
@@ -422,7 +420,10 @@ class FamilyTemplate:
         """Template from a parsed config; a bad one names its clause.
 
         Raises :class:`MalformedConfig` for a missing key or a value of the
-        wrong shape, and :class:`EmptyRange` when the range holds no member.
+        wrong shape, or for a parameter named ``p`` or ``q`` whose own key
+        is not the parameter itself (each record's key would hide the
+        parameter value), and :class:`EmptyRange` when the range holds no
+        member.
         """
         if not isinstance(cfg, dict):
             raise MalformedConfig("config must be a JSON object")
@@ -444,6 +445,11 @@ class FamilyTemplate:
         if output is not None and not isinstance(output, str):
             raise MalformedConfig(f"output must be a path, got {output!r}")
         p_expr, q_expr = (_linear(cfg, key, param) for key in ("p", "q"))
+        own = {"p": p_expr, "q": q_expr}.get(param)
+        if own is not None and (own.coeff, own.const) != (1, 0):
+            raise MalformedConfig(
+                f"parameter {param!r} clashes with the key {param!r}, which "
+                f"must then be {param!r} itself, got {own.text!r}")
         return cls(s1=s1, s2=s2, parameter=param, p_expr=p_expr,
                    q_expr=q_expr, start=lo, stop=hi, output=output)
 

@@ -4,17 +4,19 @@ A semigroup is stored by its minimal generating set and read through its
 Apéry set Ap(S, m) with respect to the multiplicity m: n is a member exactly
 when n >= Ap[n mod m], the Frobenius number is max Ap - m, symmetry is a
 property of Ap alone, and a representation is rebuilt by stepping down
-through Ap (:meth:`NumericalSemigroup.contains`).  One cache, keyed by the
-sorted generator tuple, holds Ap(S, m) and nothing else.  A table is built
-one of two ways, and refused with :class:`WorkBudgetExceeded` before
-allocation when m exceeds ``MAX_MULTIPLICITY``:
+through Ap (:meth:`NumericalSemigroup.contains`).  Each
+:class:`NumericalSemigroup` carries its own Ap(S, m), built once by
+whoever builds the semigroup, one of two ways, and refused with
+:class:`WorkBudgetExceeded` before allocation when m exceeds
+``MAX_MULTIPLICITY``:
 
-- a glued tuple, when ``gluing.glued_curve`` asks for it, from its
-  components' tables by the gluing identity
-  Ap(S, q*m1) = q*Ap(S1, m1) + p*Ap(S2, q), in O(m) steps, with two
-  self-checks (:func:`glued_apery_table`);
-- every other tuple by Böcker and Lipták's round robin (Algorithmica 48,
-  2007) in O(k*m) steps.  For glued tuples it is the tests' reference.
+- a glued semigroup, in ``gluing.glued_curve``, from its components' sets
+  by the gluing identity Ap(S, q*m1) = q*Ap(S1, m1) + p*Ap(S2, q), in O(m)
+  steps, with two self-checks (:func:`glued_apery`);
+- every other semigroup by Böcker and Lipták's round robin (Algorithmica
+  48, 2007) in O(k*m) steps, once per generator list in
+  :func:`minimal_generators`.  For glued semigroups it is the tests'
+  reference.
 
 Membership from the table also drives the order-filtration Hilbert oracle,
 which is deliberately independent of all polynomial machinery.
@@ -35,7 +37,7 @@ lists every factorization and serves the tests as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, inf
 
@@ -67,14 +69,24 @@ class Representation:
 
 @dataclass(frozen=True)
 class NumericalSemigroup:
-    """Numerical semigroup given by its minimal generators, gcd 1."""
+    """Numerical semigroup given by its minimal generators, gcd 1.
+
+    ``apery`` is Ap(S, m), indexed by residue mod m; it does not enter
+    equality, hash or repr, which are those of the generator tuple.  When
+    it is not given, the round robin builds it.  A table the caller passes
+    is trusted, except that the generators must be minimal on it; only
+    :func:`minimal_generators` and ``gluing.glued_curve`` pass one.
+    """
 
     generators: tuple[int, ...]
+    apery: tuple[int, ...] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         gens = self.generators
         _check_generators(gens, list(gens))
-        reduced = _minimalize(gens)
+        if self.apery is None:
+            object.__setattr__(self, "apery", _round_robin(gens))
+        reduced = _minimalize(gens, self.apery)
         if reduced != gens:
             raise ValueError(
                 f"{list(gens)} is not minimal; minimal set is {list(reduced)}")
@@ -103,8 +115,7 @@ class NumericalSemigroup:
         """
         if n < 0:
             raise ValueError("membership is defined for n >= 0")
-        gens, m = self.generators, self.multiplicity
-        apery = _apery_table(gens)
+        gens, m, apery = self.generators, self.multiplicity, self.apery
         w = apery[n % m]
         if n < w:
             return None
@@ -179,16 +190,11 @@ class NumericalSemigroup:
 
     def frobenius_and_apery(self) -> tuple[int, tuple[int, ...]]:
         """Frobenius number and the Apéry set w.r.t. the smallest generator."""
-        apery = _apery_table(self.generators)
-        return max(apery) - self.multiplicity, apery
+        return max(self.apery) - self.multiplicity, self.apery
 
     @property
     def frobenius(self) -> int:
         return self.frobenius_and_apery()[0]
-
-    @property
-    def apery(self) -> tuple[int, ...]:
-        return self.frobenius_and_apery()[1]
 
     def is_symmetric(self) -> bool:
         """Symmetry, read off the Apéry set: 2 * sum Ap == m * max Ap.
@@ -215,8 +221,7 @@ class NumericalSemigroup:
         gens = self.generators
         frob = self.frobenius
         bound = max(frob, 0) + (n_max + 1) * gens[-1]
-        apery = _apery_table(gens)
-        m = gens[0]
+        apery, m = self.apery, gens[0]
         member = [s >= apery[s % m] for s in range(bound + 1)]
         order = [-1] * (bound + 1)
         order[0] = 0
@@ -237,10 +242,16 @@ class NumericalSemigroup:
 
 
 def minimal_generators(raw: list[int] | tuple[int, ...]) -> NumericalSemigroup:
-    """Normalize arbitrary generators with gcd 1 to the minimal set."""
+    """Normalize arbitrary generators with gcd 1 to the minimal set.
+
+    ``raw`` and its minimal subset generate the same semigroup, with the
+    same smallest generator m, so the one round robin on ``raw`` gives the
+    Apéry table of both.
+    """
     gens = tuple(sorted(set(raw)))
     _check_generators(gens, list(raw))
-    return NumericalSemigroup(_minimalize(gens))
+    apery = _round_robin(gens)
+    return NumericalSemigroup(_minimalize(gens, apery), apery)
 
 
 def _check_generators(gens: tuple[int, ...], shown: list[int]):
@@ -256,13 +267,11 @@ def _check_generators(gens: tuple[int, ...], shown: list[int]):
         raise GcdNotOne(f"gcd of {shown} is {gcd(*gens)}")
 
 
-def _minimalize(gens: tuple[int, ...]) -> tuple[int, ...]:
-    """Keep g unless g - h is a member for some smaller generator h.
-
-    ``gens`` is strictly increasing with gcd 1, so it has an Apéry table.
-    """
+def _minimalize(gens: tuple[int, ...],
+                apery: tuple[int, ...]) -> tuple[int, ...]:
+    """Keep g unless g - h is a member for some smaller generator h; the
+    members are read from ``apery``, Ap(<gens>, gens[0])."""
     m = gens[0]
-    apery = _apery_table(gens)
     return tuple(g for g in gens
                  if not any(g - h >= apery[(g - h) % m] for h in gens if h < g))
 
@@ -301,75 +310,42 @@ def _longest_rows(gens: tuple[int, ...], top: int) -> list:
 def cached_semigroup(raw: tuple[int, ...]) -> NumericalSemigroup:
     """``minimal_generators(raw)``, built once per process for each tuple.
 
-    A family scan validates the same two generator lists for every member.
-    An exception is not cached, so a bad list raises on every call.
+    A family scan validates the same two generator lists for every member,
+    so this is the module's one cache, and each list's Apéry set is built
+    once with its semigroup.  An exception is not cached, so a bad list
+    raises on every call.
     """
     return minimal_generators(raw)
 
 
-# the builder a miss of ``_apery_table`` on its tuple calls instead of the
-# round robin; an entry lives only for one ``glued_apery_table`` call
-_builders: dict = {}
-
-
-@lru_cache(maxsize=1024)
-def _apery_table(gens: tuple[int, ...]) -> tuple[int, ...]:
-    """Ap(S, m) for m = gens[0], indexed by residue mod m.
-
-    The one cache of Apéry tables, keyed by the sorted generator tuple.  A
-    glued tuple that :func:`glued_apery_table` asks for is built by
-    :func:`_glued_table` from the gluing identity; every other tuple by
-    :func:`_round_robin`.  Both are refused with
-    :class:`WorkBudgetExceeded`, before allocating, when m exceeds
-    ``MAX_MULTIPLICITY``.
-    """
-    return _builders.get(gens, _round_robin)(gens)
-
-
-def glued_apery_table(gens1: tuple[int, ...], gens2: tuple[int, ...],
-                      p: int, q: int) -> tuple[int, ...]:
-    """``_apery_table`` of the glued tuple of S = q*S1 + p*S2.
-
-    On a miss the table is built from the components' tables by
-    :func:`_glued_table` and cached under the sorted glued generators, so
-    the ``NumericalSemigroup`` of the glued curve reads it.  Requires
-    gcd(p, q) = 1, p in S1 and q in S2, as :func:`gluing.validate_gluing`
-    checks.
-    """
-    glued = tuple(sorted([q * m for m in gens1] + [p * n for n in gens2]))
-    _builders[glued] = lambda _: _glued_table(gens1, gens2, p, q, glued)
-    try:
-        return _apery_table(glued)
-    finally:
-        del _builders[glued]
-
-
-def _glued_table(gens1: tuple[int, ...], gens2: tuple[int, ...], p: int,
-                 q: int, glued: tuple[int, ...]) -> tuple[int, ...]:
+def glued_apery(s1: NumericalSemigroup, s2: NumericalSemigroup, p: int,
+                q: int, glued: tuple[int, ...]) -> tuple[int, ...]:
     """Ap(S, m) of the gluing S = q*S1 + p*S2 on the sorted tuple ``glued``.
 
     Let m1, n1 be the multiplicities of S1, S2.  If q*m1 < p*n1, then
     m = q*m1 and Ap(S, m) = q*Ap(S1, m1) + p*Ap(S2, q) (Delorme 1976;
     Rosales & García-Sánchez, *Numerical Semigroups*, 2009, ch. 8);
     otherwise m = p*n1 and Ap(S, m) = p*Ap(S2, n1) + q*Ap(S1, p).  The
-    first table is the component's cached one; the auxiliary Ap(S2, q) or
-    Ap(S1, p) comes from :func:`_round_robin` with q or p as the modulus,
-    and its q or p residues are charged to the glued m.
+    first table is the component's own ``apery``; the auxiliary Ap(S2, q)
+    or Ap(S1, p) comes from :func:`_round_robin` with q or p as the
+    modulus, and its q or p residues are charged to the glued m.  Requires
+    gcd(p, q) = 1, p in S1 and q in S2, as ``gluing.validate_gluing``
+    checks.
 
     Two self-checks: the m sums hit every residue mod m once, and max Ap - m
     equals q*F(S1) + p*F(S2) + pq, which compares the auxiliary table with
     the other component's table.  Either failing raises
     :class:`SelfCheckFailed` with (s1, s2, p, q) in its bundle.
     """
-    bundle = {"s1": list(gens1), "s2": list(gens2), "p": p, "q": q}
-    if not q * gens1[0] < p * gens2[0]:
-        gens1, gens2, p, q = gens2, gens1, q, p
-    m = q * gens1[0]
+    bundle = {"s1": list(s1.generators), "s2": list(s2.generators), "p": p,
+              "q": q}
+    if not q * s1.multiplicity < p * s2.multiplicity:
+        s1, s2, p, q = s2, s1, q, p
+    m = q * s1.multiplicity
     _check_multiplicity(m)
-    ap1 = _apery_table(gens1)
-    ys = [p * b for b in _round_robin((q,) + gens2)]
+    ys = [p * b for b in _round_robin((q,) + s2.generators)]
     apery = [-1] * m
-    for a in ap1:
+    for a in s1.apery:
         x = q * a
         for y in ys:
             w = x + y
@@ -378,8 +354,8 @@ def _glued_table(gens1: tuple[int, ...], gens2: tuple[int, ...], p: int,
         raise SelfCheckFailed(
             f"the gluing identity's Apéry set of {list(glued)} misses a "
             f"residue mod {m}", bundle)
-    frob1 = max(ap1) - gens1[0]
-    frob2 = max(_apery_table(gens2)) - gens2[0]
+    frob1 = max(s1.apery) - s1.multiplicity
+    frob2 = max(s2.apery) - s2.multiplicity
     if max(apery) - m != q * frob1 + p * frob2 + p * q:
         raise SelfCheckFailed(
             f"the gluing identity's Apéry set of {list(glued)} has Frobenius "
@@ -406,7 +382,7 @@ def _round_robin(gens: tuple[int, ...]) -> tuple[int, ...]:
     once round a cycle from its smallest value, relaxing r -> r + g, settles
     the whole cycle: adding g to that value cannot improve it.  O(k*m) in
     all, with no heap.  The further generators need not exceed m, so with
-    q first it also gives Ap(S2, q) for :func:`_glued_table`.
+    q first it also gives Ap(S2, q) for :func:`glued_apery`.
 
     Raises :class:`WorkBudgetExceeded`, before allocating, when m exceeds
     ``MAX_MULTIPLICITY``.

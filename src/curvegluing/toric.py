@@ -86,20 +86,29 @@ class MonomialCurve:
     ``names[i]``.  The generator multiset must be the minimal generating set
     of its semigroup; the binding order is free (glued curves keep their
     x-block/y-block layout rather than sorting by value).
+
+    Without ``semigroup`` the curve builds and validates its own.  A caller
+    that already holds the semigroup passes it, and it is checked only to
+    stand on the sorted generators, so a semigroup is validated once.
     """
 
     generators: tuple[int, ...]
     names: tuple[str, ...]
-    semigroup: sg.NumericalSemigroup = field(init=False, repr=False,
+    semigroup: sg.NumericalSemigroup = field(default=None, repr=False,
                                              compare=False)
 
     def __post_init__(self):
         if len(self.generators) != len(self.names):
             raise ValueError("one name per generator")
-        # validates once: duplicates, a non-minimal set and gcd != 1 all
-        # raise ValueError here
-        object.__setattr__(self, "semigroup", sg.NumericalSemigroup(
-            tuple(sorted(self.generators))))
+        gens = tuple(sorted(self.generators))
+        if self.semigroup is None:
+            # duplicates, a non-minimal set and gcd != 1 all raise
+            # ValueError here
+            object.__setattr__(self, "semigroup", sg.NumericalSemigroup(gens))
+        elif self.semigroup.generators != gens:
+            raise ValueError(
+                f"the semigroup on {list(self.semigroup.generators)} is not "
+                f"generated by {list(self.generators)}")
 
     @property
     def nvars(self) -> int:
@@ -110,7 +119,7 @@ def curve(raw_generators: list[int] | tuple[int, ...]) -> MonomialCurve:
     """Curve on the minimal generators of <raw>, sorted, named x1..xk."""
     S = sg.minimal_generators(list(raw_generators))
     names = tuple(f"x{i + 1}" for i in range(len(S.generators)))
-    return MonomialCurve(S.generators, names)
+    return MonomialCurve(S.generators, names, S)
 
 
 def defining_ideal(C: MonomialCurve) -> list[Binomial]:

@@ -1,11 +1,11 @@
 """A time limit of its own for every test, and cold gluing caches.
 
 A stalled test then fails with a traceback at the line it was stuck on,
-and the rest of the suite still runs.  Each test starts with
-``gluing._component_analysis``, ``semigroup.cached_semigroup`` and
-``semigroup._apery_table`` empty, so a spy on the component computations
-sees them whatever ran before, and a glued table that one test built from
-the gluing identity never stands in for the round robin in another.
+and the rest of the suite still runs.  Each test starts with the two
+process-wide caches, ``gluing._component_analysis`` and
+``semigroup.cached_semigroup``, empty, so a spy on the component
+computations, or on the round robin that builds a component's Apéry set,
+sees them whatever ran before.
 """
 
 import signal
@@ -44,4 +44,3 @@ def pytest_runtest_call(item):
 def cold_component_cache():
     gluing._component_analysis.cache_clear()
     semigroup.cached_semigroup.cache_clear()
-    semigroup._apery_table.cache_clear()

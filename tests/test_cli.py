@@ -454,6 +454,21 @@ class TestExitCodes:
         assert code == 1
         assert "MalformedConfig" in err and "MalformedPolynomial" in err
 
+    CLASH = {"s1": [6, 7, 15], "s2": [1], "parameter": "q",
+             "p": "6*q + 7", "q": "2*q + 1", "range": [2, 4]}
+
+    def test_parameter_clashing_with_its_key(self, capsys, tmp_path):
+        # each record's "q" key would hide the parameter value
+        code, out, err = self._scan(capsys, tmp_path, self.CLASH, "--json")
+        assert code == 1 and out == ""
+        assert "[MalformedConfig]" in err and "clashes" in err
+
+    def test_parameter_as_its_own_key_scans(self, capsys, tmp_path):
+        code, out, _ = self._scan(capsys, tmp_path,
+                                  {**self.CLASH, "q": "1*q"}, "--json")
+        assert code == 0
+        assert [r["q"] for r in json.loads(out)["records"]] == [2, 3, 4]
+
     def test_missing_config_key(self, capsys, tmp_path):
         cfg = {k: v for k, v in self.CFG.items() if k != "range"}
         code, _, err = self._scan(capsys, tmp_path, cfg)

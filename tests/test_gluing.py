@@ -3,6 +3,7 @@ import multiprocessing
 import pickle
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -639,7 +640,7 @@ def test_glued_curve_rejects_a_non_minimal_glued_set():
 def test_glued_curve_reports_a_non_minimal_set_as_a_self_check(monkeypatch):
     import curvegluing.gluing as gl
 
-    def refuse(gens, names):
+    def refuse(gens, names, semigroup):
         raise ValueError(f"{sorted(gens)} is not minimal")
 
     monkeypatch.setattr(gl, "MonomialCurve", refuse)
@@ -654,8 +655,7 @@ class TestGluedAperyTable:
     @staticmethod
     def assert_matches_the_round_robin(spec):
         glued = tuple(sorted(spec.glued_generators))
-        apery = sg.glued_apery_table(spec.s1.generators, spec.s2.generators,
-                                     spec.p, spec.q)
+        apery = glued_curve(spec).semigroup.apery
         assert apery == sg._round_robin(glued), spec
 
     def test_digest_gluings(self):
@@ -698,7 +698,7 @@ class TestGluedAperyTable:
     def test_multiplicity_p_n1(self):
         # m = 8 = p*n1 < q*m1 = 10: Ap(S, 8) = 4*Ap(<2, 3>, 2) + 5*Ap(<2, 3>, 4)
         spec = validate_gluing([2, 3], [2, 3], 4, 5)
-        assert sg.glued_apery_table((2, 3), (2, 3), 4, 5) == \
+        assert glued_curve(spec).semigroup.apery == \
             (0, 25, 10, 27, 12, 37, 22, 15)
         self.assert_matches_the_round_robin(spec)
 
@@ -720,10 +720,18 @@ class TestGluedAperyTable:
                 found += 1
                 self.assert_matches_the_round_robin(spec)
 
-    def test_glued_curve_reads_the_identity(self):
+    def test_glued_curve_reads_the_identity(self, monkeypatch):
+        built = []
+        real = sg.glued_apery
+
+        def spying(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sg, "glued_apery", spying)
         spec = validate_gluing([2, 3], [4, 5], 7, 8)
-        built = sg.glued_apery_table((2, 3), (4, 5), 7, 8)
-        assert glued_curve(spec).semigroup.frobenius_and_apery()[1] is built
+        apery = glued_curve(spec).semigroup.frobenius_and_apery()[1]
+        assert len(built) == 1 and apery is built[0]
 
     def test_budget_is_the_glued_multiplicity(self, monkeypatch):
         spec = validate_gluing([2, 3], [2, 3], 4, 5)
@@ -740,12 +748,11 @@ class TestGluedAperyTable:
         # 8*2 = 16 = 8*0 mod 16: two sums share each residue
         ((2, 3), (0, 2), "misses a residue mod 16"),
     ])
-    def test_self_checks(self, monkeypatch, gens, table, match):
+    def test_self_checks(self, gens, table, match):
         spec = validate_gluing([2, 3], [4, 5], 7, 8)
-        sg._apery_table.cache_clear()  # rebuilt through the patched function
-        real = sg._round_robin
-        monkeypatch.setattr(
-            sg, "_round_robin", lambda g: table if g == gens else real(g))
+        # the component on ``gens`` carries the wrong table
+        wrong = sg.NumericalSemigroup(gens, table)
+        spec = replace(spec, **{"s1" if gens == (2, 3) else "s2": wrong})
         with pytest.raises(SelfCheckFailed, match=match) as exc:
             glued_curve(spec)
         assert exc.value.bundle == {"s1": [2, 3], "s2": [4, 5], "p": 7,
@@ -835,6 +842,24 @@ class TestFamilyConfig:
         with pytest.raises(MalformedConfig, match="parameter"):
             FamilyTemplate.from_config({**self.BASE, "parameter": param,
                                         "p": f"4*{param} + 3"})
+
+    @pytest.mark.parametrize("param,p,q", [
+        ("q", "6*q + 7", "2*q + 1"), ("q", "6*q + 7", "q + 1"),
+        ("q", "6*q + 7", "7"), ("p", "2*p", "5")])
+    def test_parameter_named_like_a_key_must_be_that_key(self, param, p, q):
+        with pytest.raises(MalformedConfig, match=f"clashes with the key "
+                           f"'{param}'"):
+            FamilyTemplate.from_config({**self.BASE, "parameter": param,
+                                        "p": p, "q": q})
+
+    @pytest.mark.parametrize("param,p,q", [
+        ("q", "6*q + 7", "q"), ("q", "6*q + 7", "1*q + 0"),
+        ("p", "p", "8"), ("p", "1 * p", "2*p + 1")])
+    def test_parameter_as_its_own_key_is_kept(self, param, p, q):
+        tpl = FamilyTemplate.from_config({**self.BASE, "parameter": param,
+                                          "p": p, "q": q})
+        own = tpl.p_expr if param == "p" else tpl.q_expr
+        assert own(5) == 5
 
     @pytest.mark.parametrize("key,value", [
         ("p", "-"), ("p", "4*r +"), ("q", "3-"), ("q", "r^2")])
@@ -943,6 +968,38 @@ class TestScan:
         spec = validate_gluing([2, 3], [4, 5], 7, 8)
         record = report_to_record(verify_instance(spec))
         assert json.loads(json.dumps(record)) == record
+
+
+class TestValidatedOnce:
+    """A semigroup is validated, and its Apéry set built, once."""
+
+    def test_calls_per_tuple_on_one_verify(self, monkeypatch):
+        counts = {}
+        for name in ("_check_generators", "_minimalize", "_round_robin"):
+            real = getattr(sg, name)
+
+            def spying(gens, *args, name=name, real=real):
+                key = (name, gens)
+                counts[key] = counts.get(key, 0) + 1
+                return real(gens, *args)
+
+            monkeypatch.setattr(sg, name, spying)
+        spec = validate_gluing([5, 12], [7, 8], 17, 21)
+        verify_instance(spec)
+        glued = tuple(sorted(spec.glued_generators))
+        for gens in ((5, 12), (7, 8)):
+            # ``minimal_generators`` checks the raw list, the constructor
+            # the minimal one; one round robin serves both
+            assert counts[("_check_generators", gens)] <= 2
+            assert counts[("_minimalize", gens)] <= 2
+            assert counts[("_round_robin", gens)] == 1
+        assert counts[("_check_generators", glued)] == 1
+        assert counts[("_minimalize", glued)] == 1
+        assert ("_round_robin", glued) not in counts
+        # the auxiliary Ap(S2, q) of the gluing identity
+        assert counts[("_round_robin", (21, 7, 8))] == 1
+        assert {gens for _, gens in counts} == {(5, 12), (7, 8), glued,
+                                                 (21, 7, 8)}
 
 
 class TestComponentCache:

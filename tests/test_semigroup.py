@@ -9,7 +9,7 @@ from curvegluing import semigroup
 from curvegluing.errors import (EmptyGenerators, GcdNotOne,
                                 NonPositiveGenerator, WorkBudgetExceeded)
 from curvegluing.semigroup import (NumericalSemigroup, Representation,
-                                   _apery_table, minimal_generators)
+                                   _round_robin, minimal_generators)
 
 from family_samples import kunz_closure
 
@@ -258,7 +258,7 @@ class TestAperyTable:
             _check_apery_table(tuple(gens))
 
     def test_redundant_generators(self):
-        # ``_minimalize`` builds the table of a set before pruning it
+        # ``minimal_generators`` builds the table of a set before pruning it
         rng = random.Random(43)
         for _ in range(60):
             gens = sorted(set(_random_gens(rng)))
@@ -267,7 +267,35 @@ class TestAperyTable:
 
 
 def _check_apery_table(gens):
-    assert _apery_table(gens) == _dijkstra_apery(gens)
+    assert _round_robin(gens) == _dijkstra_apery(gens)
+
+
+class TestAperyField:
+    """Each semigroup carries Ap(S, m), built once by whoever builds it."""
+
+    def test_one_table_for_a_redundant_set(self, monkeypatch):
+        built = []
+
+        def spying(gens):
+            built.append(gens)
+            return _round_robin(gens)
+
+        monkeypatch.setattr(semigroup, "_round_robin", spying)
+        S = minimal_generators([9, 6, 10, 15, 12, 21])
+        assert S.generators == (6, 9, 10)
+        assert built == [(6, 9, 10, 12, 15, 21)]
+        assert S.apery == _round_robin((6, 9, 10))
+
+    def test_table_does_not_enter_equality_hash_or_repr(self):
+        S = NumericalSemigroup((4, 5))
+        T = NumericalSemigroup((4, 5), (0, 5, 10, 15))
+        assert S == T and hash(S) == hash(T) == hash(NumericalSemigroup((4, 5)))
+        assert repr(S) == "NumericalSemigroup(generators=(4, 5))"
+
+    def test_a_passed_table_is_checked_for_minimality(self):
+        # Ap(<4, 5, 9>, 4) makes 9 = 4 + 5 redundant
+        with pytest.raises(ValueError, match="not minimal"):
+            NumericalSemigroup((4, 5, 9), _round_robin((4, 5, 9)))
 
 
 def _dijkstra_apery(gens):

@@ -10,11 +10,12 @@ from family_samples import random_nice_gluing, random_semigroup
 
 from curvegluing.basis import buchberger, interreduce_global, is_member_global
 from curvegluing.errors import ArityMismatch, NonHomogeneousBinomial
-from curvegluing import toric
+from curvegluing import semigroup, toric
 from curvegluing.gluing import glued_ideal
 from curvegluing.polyalg import (Polynomial, degrevlex, elimination,
                                  m_deg, m_divides, parse_polynomial,
                                  polynomial_to_str)
+from curvegluing.semigroup import NumericalSemigroup
 from curvegluing.toric import (MonomialCurve, as_polynomial, curve,
                                defining_ideal, fiber_connected, ideals_equal,
                                is_complete_intersection,
@@ -338,6 +339,39 @@ class TestMonomialCurve:
         assert C.semigroup is C.semigroup
         assert C.semigroup.generators == (3, 5, 7)
         assert C == MonomialCurve((7, 3, 5), ("x1", "x2", "x3"))
+
+    def test_rejects_a_semigroup_on_other_generators(self):
+        S = NumericalSemigroup((3, 5, 7))
+        with pytest.raises(ValueError, match="not generated by"):
+            MonomialCurve((3, 5), ("x1", "x2"), S)
+        with pytest.raises(ValueError, match="not generated by"):
+            MonomialCurve((3, 5, 8), ("x1", "x2", "x3"), S)
+
+    def test_a_given_semigroup_is_not_validated_again(self, monkeypatch):
+        S = NumericalSemigroup((3, 5, 7))
+        calls = []
+        for name in ("_check_generators", "_minimalize"):
+            monkeypatch.setattr(semigroup, name,
+                                lambda *args, name=name: calls.append(name))
+        C = MonomialCurve((7, 3, 5), ("x1", "x2", "x3"), S)
+        assert C.semigroup is S and calls == []
+
+    def test_curve_validates_its_semigroup_once(self, monkeypatch):
+        calls = []
+        for name in ("_check_generators", "_round_robin"):
+            real = getattr(semigroup, name)
+
+            def spying(gens, *args, name=name, real=real):
+                calls.append((name, gens))
+                return real(gens, *args)
+
+            monkeypatch.setattr(semigroup, name, spying)
+        C = curve([12, 5, 17])
+        assert C.semigroup.generators == (5, 12)
+        # the raw list, then the minimal one; one table serves both
+        assert calls == [("_check_generators", (5, 12, 17)),
+                         ("_round_robin", (5, 12, 17)),
+                         ("_check_generators", (5, 12))]
 
     def test_curve_sorts_and_minimalizes(self):
         C = curve([12, 5])
